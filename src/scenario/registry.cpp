@@ -66,6 +66,31 @@ ScenarioSpec line4(const char* name, DetectorKind detector, std::uint64_t seed) 
   return s;
 }
 
+/// Blackhole window: the r1-r2 link drops for 0.9 s mid-run. Static
+/// routes (no reconvergence), so the detector sees — and must keep seeing,
+/// deterministically — the control-traffic failures it induces.
+ScenarioSpec blackhole(ScenarioSpec s) {
+  ChurnSpec down;
+  down.kind = ChurnSpec::Kind::kLinkDown;
+  down.at_ns = 1'700 * kMilli;
+  down.a = 1;
+  down.b = 2;
+  s.churn.push_back(down);
+  ChurnSpec up;
+  up.kind = ChurnSpec::Kind::kLinkUp;
+  up.at_ns = 2'600 * kMilli;
+  up.a = 1;
+  up.b = 2;
+  s.churn.push_back(up);
+  return s;
+}
+
+/// Ships the detector's control traffic over the ack/retransmit channel.
+ScenarioSpec reliable(ScenarioSpec s) {
+  s.detector.reliable = true;
+  return s;
+}
+
 AttackSpec drop_at(util::NodeId at, std::uint32_t flow, std::int64_t fraction_ppm,
                    std::int64_t from_ns) {
   AttackSpec a;
@@ -280,31 +305,11 @@ std::vector<ScenarioSpec> build_all() {
     all.push_back(s);
   }
 
-  {
-    // Blackhole window: the r1-r2 link drops for a second mid-run. Static
-    // routes (no reconvergence), so the detector sees — and must keep
-    // seeing, deterministically — the exchange failures it induces.
-    ScenarioSpec s = line4("line4_pik2_churn", DetectorKind::kPik2, 17);
-    ChurnSpec down;
-    down.kind = ChurnSpec::Kind::kLinkDown;
-    down.at_ns = 1'700 * kMilli;
-    down.a = 1;
-    down.b = 2;
-    s.churn.push_back(down);
-    ChurnSpec up;
-    up.kind = ChurnSpec::Kind::kLinkUp;
-    up.at_ns = 2'600 * kMilli;
-    up.a = 1;
-    up.b = 2;
-    s.churn.push_back(up);
-    all.push_back(s);
-  }
+  all.push_back(blackhole(line4("line4_pik2_churn", DetectorKind::kPik2, 17)));
+  all.push_back(blackhole(line4("line4_pi2_churn", DetectorKind::kPi2, 20)));
 
-  {
-    ScenarioSpec s = line4("line4_pik2_reliable", DetectorKind::kPik2, 18);
-    s.detector.reliable = true;
-    all.push_back(s);
-  }
+  all.push_back(reliable(line4("line4_pik2_reliable", DetectorKind::kPik2, 18)));
+  all.push_back(reliable(line4("line4_pi2_reliable", DetectorKind::kPi2, 19)));
 
   {
     // The Abilene forwarding substrate (bench/perf_scenarios.hpp) with a
@@ -340,6 +345,9 @@ std::vector<ScenarioSpec> build_all() {
     ScenarioSpec s = chi_base("chi_droptail_drop20", false, 608);
     s.attacks.push_back(drop_at(2, 1, 200'000, 4 * kSecond));
     all.push_back(s);
+    s.name = "chi_droptail_reliable";
+    s.seed = 611;
+    all.push_back(reliable(s));
   }
 
   all.push_back(chi_base("chi_red_clean", true, 609));
