@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <queue>
 
 #include "crypto/siphash.hpp"
-#include "detection/evidence.hpp"
-#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "validation/fingerprint.hpp"
 
@@ -23,13 +19,10 @@ constexpr double kSigmaFloor = 64.0;  // bytes; guards against degenerate calibr
 QueueValidator::QueueValidator(sim::Network& net, const crypto::KeyRegistry& keys,
                                const PathCache& paths, util::NodeId queue_owner,
                                util::NodeId queue_peer, ChiConfig config)
-    : net_(net),
-      keys_(keys),
-      paths_(paths),
+    : RoundDriver(net, keys, paths, config.clock, config.rounds, obs::TraceSource::kChi, "chi"),
       owner_(queue_owner),
       peer_(queue_peer),
       config_(config),
-      guard_(net, keys, obs::TraceSource::kChi, "chi"),
       fp_(keys.fingerprint_key(queue_owner, queue_peer)) {
   auto& owner_node = net_.router(owner_);
   auto* iface = owner_node.interface_to(peer_);
@@ -59,12 +52,8 @@ void QueueValidator::install_taps() {
       // Routing in force *now* decides whether r will forward this toward
       // rd; after a reroute the recorder follows the new next hop.
       if (paths_.next_hop_after_at(p.hdr.src, p.hdr.dst, owner_, now) != peer_) return;
-      ChiRecord rec;
-      rec.fp = fp_(p);
-      rec.size_bytes = p.size_bytes;
-      rec.flow_id = p.hdr.flow_id;
-      rec.control = p.is_control();
-      rec.ts = now + nbr_link.tx_time(p.size_bytes) + nbr_link.delay + owner_proc_;
+      const ChiRecord rec =
+          record(p, now + nbr_link.tx_time(p.size_bytes) + nbr_link.delay + owner_proc_);
       neighbor_staged_[{nbr, config_.clock.round_of(rec.ts)}].push_back(rec);
     });
   }
@@ -74,24 +63,14 @@ void QueueValidator::install_taps() {
       [this](const sim::Packet& p, util::NodeId prev, std::size_t out_iface, util::SimTime now) {
         if (prev != owner_) return;
         if (net_.router(owner_).interface(out_iface).peer() != peer_) return;
-        ChiRecord rec;
-        rec.fp = fp_(p);
-        rec.size_bytes = p.size_bytes;
-        rec.flow_id = p.hdr.flow_id;
-        rec.control = p.is_control();
-        rec.ts = now;
-        neighbor_staged_[{owner_, config_.clock.round_of(rec.ts)}].push_back(rec);
+        neighbor_staged_[{owner_, config_.clock.round_of(now)}].push_back(record(p, now));
       });
 
   // (3) Exit recorder at rd: arrivals from r, backdated to queue exit.
   net_.node(peer_).add_receive_tap([this](const sim::Packet& p, util::NodeId prev,
                                           util::SimTime now) {
     if (prev != owner_) return;
-    ChiRecord rec;
-    rec.fp = fp_(p);
-    rec.size_bytes = p.size_bytes;
-    rec.flow_id = p.hdr.flow_id;
-    rec.ts = now - link_.delay - link_.tx_time(p.size_bytes);
+    const ChiRecord rec = record(p, now - link_.delay - link_.tx_time(p.size_bytes));
     exits_.emplace(rec.fp, rec);
   });
 
@@ -120,6 +99,16 @@ void QueueValidator::install_taps() {
   });
 }
 
+ChiRecord QueueValidator::record(const sim::Packet& p, util::SimTime ts) const {
+  ChiRecord rec;
+  rec.fp = fp_(p);
+  rec.size_bytes = p.size_bytes;
+  rec.flow_id = p.hdr.flow_id;
+  rec.control = p.is_control();
+  rec.ts = ts;
+  return rec;
+}
+
 void QueueValidator::start() {
   const auto ship_at = config_.clock.interval_of(0).end + config_.settle / 4;
   net_.sim().schedule_at(ship_at, [this] { ship_reports(0); });
@@ -141,17 +130,15 @@ void QueueValidator::ship_reports(std::int64_t round) {
   // control frames would distort the very queues being validated.
   constexpr std::size_t kRecordsPerPart = 55;
   for (util::NodeId reporter : reporters) {
-    std::vector<ChiRecord> records;
-    if (auto it = neighbor_staged_.find({reporter, round}); it != neighbor_staged_.end()) {
-      records = std::move(it->second);
-      neighbor_staged_.erase(it);
-    }
     ChiReport whole;
     whole.reporter = reporter;
     whole.queue_owner = owner_;
     whole.queue_peer = peer_;
     whole.round = round;
-    whole.records = std::move(records);
+    if (auto it = neighbor_staged_.find({reporter, round}); it != neighbor_staged_.end()) {
+      whole.records = std::move(it->second);
+      neighbor_staged_.erase(it);
+    }
     if (auto it = mutators_.find(reporter); it != mutators_.end()) {
       if (!it->second(whole)) continue;  // protocol-faulty: withheld
     }
@@ -177,6 +164,8 @@ void QueueValidator::ship_reports(std::int64_t round) {
       // Parts are paced ~2 ms apart so the report train does not bloat the
       // very queue being validated (control bypasses its byte limit); the
       // off-round spacing avoids resonating with common CBR periods.
+      // The packet is built now, not at send time: make_packet draws from
+      // the network rng, and the draw order is part of every digest.
       const auto send_at = net_.sim().now() + util::Duration::micros(2300) * part;
       const util::NodeId from = reporter;
       if (channel_ != nullptr) {
@@ -192,17 +181,11 @@ void QueueValidator::ship_reports(std::int64_t round) {
       hdr.proto = sim::Protocol::kControl;
       sim::Packet p = net_.make_packet(hdr, payload->report.wire_bytes());
       p.control = payload;
-      net_.sim().schedule_at(send_at, [this, from, p] {
-        if (net_.is_router(from)) {
-          net_.router(from).originate(p);
-        } else {
-          net_.host(from).send(p);
-        }
-      });
+      net_.sim().schedule_at(send_at, [this, from, p] { originate(from, p); });
     }
   }
 
-  if (config_.rounds == 0 || round + 1 < config_.rounds) {
+  if (has_round_after(round)) {
     const auto next = config_.clock.interval_of(round + 1).end + config_.settle / 4;
     net_.sim().schedule_at(next, [this, round] { ship_reports(round + 1); });
   }
@@ -212,22 +195,8 @@ void QueueValidator::inject_report(util::NodeId from, const ChiReport& report) {
   auto payload = std::make_shared<ChiReportPayload>();
   payload->envelope = crypto::sign(keys_, from, report.to_bytes());
   payload->report = report;
-  if (channel_ != nullptr) {
-    channel_->send(from, peer_, payload, payload->report.wire_bytes(),
-                   ReliableChannel::Via::kRouted);
-    return;
-  }
-  sim::PacketHeader hdr;
-  hdr.src = from;
-  hdr.dst = peer_;
-  hdr.proto = sim::Protocol::kControl;
-  sim::Packet p = net_.make_packet(hdr, payload->report.wire_bytes());
-  p.control = payload;
-  if (net_.is_router(from)) {
-    net_.router(from).originate(p);
-  } else {
-    net_.host(from).send(p);
-  }
+  const std::uint32_t bytes = payload->report.wire_bytes();
+  send_control(channel_, from, peer_, std::move(payload), bytes);
 }
 
 void QueueValidator::on_report(const ChiReportPayload& payload) {
@@ -254,39 +223,24 @@ void QueueValidator::on_report(const ChiReportPayload& payload) {
   // small margin can still be a late retransmit of the retry schedule, so
   // staleness only counts — the signer may be honest and the replayer is
   // unattributable on a routed path.
-  if (const ControlVerdict v =
-          guard_.admit_round(rep.round, closed_round_, config_.clock.round_of(net_.sim().now()));
-      v != ControlVerdict::kOk) {
+  if (const ControlVerdict v = admit_round(rep.round); v != ControlVerdict::kOk) {
     guard_.reject(peer_, util::kInvalidNode, rep.round, v, "report-replay");
     return;
   }
-  // Equivocation ledger: a second MAC-valid part with the same (reporter,
-  // round, part) identity but different content is a self-incriminating
-  // proof — only the signer can produce the pair.
-  const auto stmt = std::make_tuple(rep.reporter, rep.round, rep.part);
-  const auto [led, fresh] = part_envelope_.emplace(stmt, payload.envelope);
-  if (!fresh && led->second.payload != payload.envelope.payload) {
-    FATIH_TRACE_EMIT(net_.sim().trace(),
-                     byzantine(net_.sim().now(), obs::TraceSource::kChi,
-                               obs::TraceCode::kEquivocationProven, peer_, rep.reporter,
-                               rep.round, rep.part, "conflicting-report-parts"));
-    FATIH_METRIC_REG(net_.sim().metrics(), counter("byzantine.chi.equivocations").inc());
-    if (conviction_ != nullptr && proof_filed_.insert({rep.reporter, rep.round}).second) {
-      conviction_->accuse(peer_, static_cast<std::uint8_t>(obs::TraceSource::kChi),
-                          routing::PathSegment{rep.reporter}, rep.round, "equivocation",
-                          {led->second, payload.envelope});
-    }
-    suspect(rep.round, "equivocation", 1.0, routing::PathSegment{rep.reporter});
+  // A second MAC-valid part with the same (reporter, part, round)
+  // identity but different content is a self-incriminating proof.
+  const Statement offered = offer(ledger_, std::make_tuple(rep.reporter, rep.part, rep.round),
+                                  payload.envelope, peer_, rep.part, "conflicting-report-parts");
+  if (offered == Statement::kConflict) {
+    alarm(rep.round, "equivocation", 1.0, routing::PathSegment{rep.reporter});
     return;
   }
-  if (reports_seen_.contains({rep.reporter, rep.round})) return;
-  auto& got = parts_seen_[{rep.reporter, rep.round}];
-  if (!got.insert(rep.part).second) return;  // duplicate part (identical bytes)
+  if (offered == Statement::kCopy || reports_seen_.contains({rep.reporter, rep.round})) return;
   guard_.accept();
   for (const ChiRecord& rec : rep.records) {
     pending_entries_.push_back(Entry{rec, rep.reporter});
   }
-  if (got.size() == rep.parts) {
+  if (++parts_seen_[{rep.reporter, rep.round}] == rep.parts) {
     reports_seen_.insert({rep.reporter, rep.round});
     parts_seen_.erase({rep.reporter, rep.round});
   }
@@ -296,27 +250,14 @@ void QueueValidator::validate(std::int64_t round) {
   RoundStats stats;
   stats.round = round;
   suspicious_by_.clear();
-  ++counters_.rounds_opened;
-  FATIH_TRACE_EMIT(net_.sim().trace(),
-                   round_event(net_.sim().now(), obs::TraceSource::kChi,
-                               obs::TraceCode::kRoundOpen, round));
-  FATIH_METRIC_REG(net_.sim().metrics(), counter("chi.rounds_opened").inc());
+  open_round(round);
 
-  // Churn awareness: a route change anywhere in [round start, now) can
-  // redirect the flows feeding Q mid-round and eat reports/acks in the
-  // transient, so the replay would mix two routing regimes. The round is
-  // invalidated — consumed conservatively, never alarmed; validation
-  // resumes the first round fully inside the new epoch.
-  const util::SimTime now = net_.sim().now();
-  const bool churned = paths_.changed_during(config_.clock.interval_of(round).begin, now);
-  if (churned) {
-    stats.invalidated = true;
-    ++counters_.rounds_invalidated;
-    FATIH_TRACE_EMIT(net_.sim().trace(),
-                     round_event(now, obs::TraceSource::kChi,
-                                 obs::TraceCode::kRoundInvalidated, round));
-    FATIH_METRIC_REG(net_.sim().metrics(), counter("chi.rounds_invalidated").inc());
-  }
+  // Churn awareness: a route change can redirect the flows feeding Q
+  // mid-round and eat reports/acks in the transient, so the replay would
+  // mix two routing regimes. The round is invalidated — consumed
+  // conservatively, never alarmed.
+  stats.invalidated = churned(round);
+  invalidate(round, stats.invalidated ? 1 : 0);
 
   bool all_reports = true;
   if (auto it = reports_due_.find(round); it != reports_due_.end()) {
@@ -327,10 +268,10 @@ void QueueValidator::validate(std::int64_t round) {
         // (a neighbor's report to rd normally transits r itself), so the
         // faulty router is within {reporter, r} — blaming the queue pair
         // would miss a withholding neighbor entirely.
-        if (learned_ && !churned) {
-          suspect(round, "missing-report", 1.0,
-                  reporter == owner_ ? routing::PathSegment{owner_, peer_}
-                                     : routing::PathSegment{reporter, owner_});
+        if (learned_ && !stats.invalidated) {
+          alarm(round, "missing-report", 1.0,
+                reporter == owner_ ? routing::PathSegment{owner_, peer_}
+                                   : routing::PathSegment{reporter, owner_});
         }
       }
     }
@@ -338,50 +279,49 @@ void QueueValidator::validate(std::int64_t round) {
   }
 
   const util::SimTime horizon = config_.clock.interval_of(round).end;
-  if (churned) {
-    // Drain everything up to the horizon without judging it, including
-    // already-staged replay events, and restart the occupancy prediction.
-    std::erase_if(pending_entries_, [&](const Entry& e) { return e.rec.ts <= horizon; });
-    exits_.erase_if([&](const auto& kv) { return kv.second.ts <= horizon; });
-    while (events_head_ < events_.size() && events_[events_head_].ts <= horizon) {
-      ++events_head_;
-    }
-    compact_events();
-    qpred_ = 0.0;
-  } else if (all_reports) {
+  if (!stats.invalidated && all_reports) {
     if (red_.has_value()) {
       replay_red(horizon, stats);
     } else {
       replay_droptail(horizon, stats);
     }
   } else {
-    // Without complete reports the replay is meaningless this round;
-    // consume state conservatively so qpred stays sane.
-    stats.alarmed = true;
+    // No judgeable replay this round (churn, or missing reports, which
+    // alarm): drain everything up to the horizon unjudged and restart the
+    // occupancy prediction. Churn also drops already-staged replay events.
+    stats.alarmed = !stats.invalidated;
     std::erase_if(pending_entries_, [&](const Entry& e) { return e.rec.ts <= horizon; });
     exits_.erase_if([&](const auto& kv) { return kv.second.ts <= horizon; });
+    while (stats.invalidated && events_head_ < events_.size() &&
+           events_[events_head_].ts <= horizon) {
+      ++events_head_;
+    }
+    compact_events();
     qpred_ = 0.0;
   }
 
-  // Close the anti-replay window: report parts for this round (or older)
-  // arriving from now on are replays, rejected at admission. Closed rounds
-  // can no longer gain equivocation conflicts either, so their ledger and
-  // part-bookkeeping entries are dropped.
-  closed_round_ = std::max(closed_round_, round);
-  part_envelope_.erase_if([round](const auto& kv) { return std::get<1>(kv.first) <= round; });
-  proof_filed_.erase_if([round](const auto& k) { return k.second <= round; });
+  // Drop the round's ledger and part bookkeeping, then close the
+  // anti-replay window: report parts for this round (or older) arriving
+  // from now on are replays, rejected at admission.
+  ledger_.forget_through(round);
   reports_seen_.erase_if([round](const auto& k) { return k.second <= round; });
   parts_seen_.erase_if([round](const auto& kv) { return kv.first.second <= round; });
 
-  finish_round(round, stats);
+  // The last learning round fixes the error model (mu, sigma).
+  if (!learned_ && round + 1 >= config_.learning_rounds) {
+    mu_ = error_stats_.mean();
+    sigma_ = std::max(error_stats_.stddev(), kSigmaFloor);
+    learned_ = true;
+    qact_probe_.clear();
+    util::log(util::LogLevel::kInfo, kComponent,
+              "queue %s->%s calibrated: mu=%.1fB sigma=%.1fB (%zu samples)",
+              util::node_name(owner_).c_str(), util::node_name(peer_).c_str(), mu_, sigma_,
+              error_stats_.count());
+  }
   round_stats_.push_back(stats);
-  ++counters_.rounds_evaluated;
-  FATIH_TRACE_EMIT(net_.sim().trace(),
-                   round_event(net_.sim().now(), obs::TraceSource::kChi,
-                               obs::TraceCode::kRoundClose, round));
-  FATIH_METRIC_REG(net_.sim().metrics(), counter("chi.rounds_evaluated").inc());
+  close_round(round);
 
-  if (config_.rounds == 0 || round + 1 < config_.rounds) {
+  if (has_round_after(round)) {
     const auto next = config_.clock.interval_of(round + 1).end + config_.settle;
     net_.sim().schedule_at(next, [this, round] { validate(round + 1); });
   }
@@ -445,12 +385,23 @@ void QueueValidator::stage_ready_entries(util::SimTime upto, RoundStats& stats) 
   std::inplace_merge(events_.begin() + static_cast<std::ptrdiff_t>(events_head_),
                      events_.begin() + static_cast<std::ptrdiff_t>(merge_from), events_.end());
   if (learned_ && stats.delayed >= config_.delayed_packets_min) {
-    suspect(stats.round, "delay-test", 1.0);
+    alarm(stats.round, "delay-test", 1.0);
     stats.alarmed = true;
   }
   // Departures whose arrival no neighbor claimed would linger forever;
   // age them out (with honest reporters this set stays empty).
   exits_.erase_if([&](const auto& kv) { return kv.second.ts + config_.grace <= upto; });
+}
+
+void QueueValidator::calibrate(validation::Fingerprint fp) {
+  // Learning probe: predicted vs measured occupancy at a matched entry.
+  if (learned_) return;
+  if (auto it = qact_probe_.find(fp); it != qact_probe_.end()) {
+    const double err = it->second - qpred_;
+    error_stats_.add(err);
+    if (error_sample_hook_) error_sample_hook_(err);
+    qact_probe_.erase(it);
+  }
 }
 
 void QueueValidator::replay_droptail(util::SimTime upto, RoundStats& stats) {
@@ -469,15 +420,7 @@ void QueueValidator::replay_droptail(util::SimTime upto, RoundStats& stats) {
     }
     if (ev.matched) {
       max_entry_ps_ = std::max<double>(max_entry_ps_, ev.ps);
-      // Learning probe: compare predicted vs measured occupancy at entry.
-      if (!learned_) {
-        if (auto it = qact_probe_.find(ev.fp); it != qact_probe_.end()) {
-          const double err = it->second - qpred_;
-          error_stats_.add(err);
-          if (error_sample_hook_) error_sample_hook_(err);
-          qact_probe_.erase(it);
-        }
-      }
+      calibrate(ev.fp);
       qpred_ += ev.ps;
       continue;
     }
@@ -500,7 +443,7 @@ void QueueValidator::replay_droptail(util::SimTime upto, RoundStats& stats) {
       // Gaussian band.
       const double guard = max_entry_ps_ + 4.0 * sigma_;
       if (csingle >= config_.single_threshold && headroom - mu_ >= guard) {
-        suspect(stats.round, "single-loss-test", csingle);
+        alarm(stats.round, "single-loss-test", csingle);
         stats.alarmed = true;
       }
       drop_qpred.add(qpred_);
@@ -512,11 +455,6 @@ void QueueValidator::replay_droptail(util::SimTime upto, RoundStats& stats) {
   }
   compact_events();
 
-  if (std::getenv("CHI_DEBUG") && drop_qpred.count() >= 2) {
-    std::fprintf(stderr, "DBG round=%lld n=%zu mean_qpred=%.0f mean_ps=%.0f headroom=%.0f min_qpred=%.0f max_qpred=%.0f\n",
-        (long long)stats.round, drop_qpred.count(), drop_qpred.mean(), drop_ps.mean(),
-        (double)queue_limit_ - drop_qpred.mean() - drop_ps.mean(), drop_qpred.min(), drop_qpred.max());
-  }
   // Combined Z-test over the round's losses (dissertation §6.2.1).
   if (learned_ && drop_qpred.count() >= 2) {
     const double n = static_cast<double>(drop_qpred.count());
@@ -525,7 +463,7 @@ void QueueValidator::replay_droptail(util::SimTime upto, RoundStats& stats) {
                       (sigma_ / std::sqrt(n));
     stats.combined_confidence = util::normal_cdf(z1);
     if (stats.combined_confidence >= config_.combined_threshold) {
-      suspect(stats.round, "combined-loss-test", stats.combined_confidence);
+      alarm(stats.round, "combined-loss-test", stats.combined_confidence);
       stats.alarmed = true;
     }
   }
@@ -545,7 +483,7 @@ void QueueValidator::replay_droptail(util::SimTime upto, RoundStats& stats) {
     if (static_cast<double>(stats.suspicious) > bound) {
       const double zc = (static_cast<double>(stats.suspicious) - p0 * n) /
                         std::sqrt(p0 * (1 - p0) * n);
-      suspect(stats.round, "suspicious-count-test", util::normal_cdf(zc));
+      alarm(stats.round, "suspicious-count-test", util::normal_cdf(zc));
       stats.alarmed = true;
     }
   }
@@ -592,13 +530,7 @@ void QueueValidator::replay_red(util::SimTime upto, RoundStats& stats) {
 
     if (ev.matched) {
       red_state_.on_outcome(false);
-      if (!learned_) {
-        if (auto it = qact_probe_.find(ev.fp); it != qact_probe_.end()) {
-          error_stats_.add(it->second - qpred_);
-          if (error_sample_hook_) error_sample_hook_(it->second - qpred_);
-          qact_probe_.erase(it);
-        }
-      }
+      calibrate(ev.fp);
       qpred_ += ev.ps;
       continue;
     }
@@ -621,7 +553,7 @@ void QueueValidator::replay_red(util::SimTime upto, RoundStats& stats) {
         if (csingle >= config_.single_threshold && headroom - mu_ >= guard) {
           ++stats.suspicious;
           ++suspicious_by_[ev.from];
-          suspect(stats.round, "red-single-loss-test", csingle);
+          alarm(stats.round, "red-single-loss-test", csingle);
           stats.alarmed = true;
         } else if (csingle >= 0.5) {
           ++stats.suspicious;
@@ -653,7 +585,7 @@ void QueueValidator::replay_red(util::SimTime upto, RoundStats& stats) {
     }
     const double zg = z_of(global) / std::sqrt(disp);
     if (zg > config_.red_z_threshold) {
-      suspect(stats.round, "red-global-test", util::normal_cdf(zg));
+      alarm(stats.round, "red-global-test", util::normal_cdf(zg));
       stats.alarmed = true;
     }
     for (const auto& [flow, acc] : flows) {
@@ -661,7 +593,7 @@ void QueueValidator::replay_red(util::SimTime upto, RoundStats& stats) {
       const double zf = raw_zf / std::sqrt(disp);
       stats.red_max_flow_z = std::max(stats.red_max_flow_z, zf);
       if (zf > config_.red_z_threshold) {
-        suspect(stats.round, "red-flow-test", util::normal_cdf(zf));
+        alarm(stats.round, "red-flow-test", util::normal_cdf(zf));
         stats.alarmed = true;
       }
       // Feed the dispersion estimator with this round's residual unless it
@@ -710,34 +642,14 @@ void QueueValidator::replay_red(util::SimTime upto, RoundStats& stats) {
         }
       }
       const double z_flow = std::max(zc, zs) / std::sqrt(disp);
-      if (std::getenv("CHI_DEBUG") != nullptr && cum.observed > 0) {
-        std::fprintf(stderr, "CUM round=%lld flow=%u obs=%llu exp=%.1f zc=%.2f zs=%.2f\n",
-                     static_cast<long long>(stats.round), flow,
-                     static_cast<unsigned long long>(cum.observed), cum.expected, zc, zs);
-      }
       stats.red_max_flow_z = std::max(stats.red_max_flow_z, z_flow);
       if (z_flow > config_.red_cumulative_z_threshold) {
-        suspect(stats.round, "red-cumulative-flow-test", util::normal_cdf(z_flow));
+        alarm(stats.round, "red-cumulative-flow-test", util::normal_cdf(z_flow));
         stats.alarmed = true;
         cum = FlowCum{};  // restart accumulation after an alarm
       }
     }
     if (zg > stats.red_max_flow_z) stats.red_max_flow_z = zg;
-  }
-}
-
-
-void QueueValidator::finish_round(std::int64_t round, RoundStats& stats) {
-  (void)stats;
-  if (!learned_ && round + 1 >= config_.learning_rounds) {
-    mu_ = error_stats_.mean();
-    sigma_ = std::max(error_stats_.stddev(), kSigmaFloor);
-    learned_ = true;
-    qact_probe_.clear();
-    util::log(util::LogLevel::kInfo, kComponent,
-              "queue %s->%s calibrated: mu=%.1fB sigma=%.1fB (%zu samples)",
-              util::node_name(owner_).c_str(), util::node_name(peer_).c_str(), mu_, sigma_,
-              error_stats_.count());
   }
 }
 
@@ -756,30 +668,12 @@ routing::PathSegment QueueValidator::attributed_segment() const {
   return routing::PathSegment{owner_, peer_};
 }
 
-void QueueValidator::suspect(std::int64_t round, const char* cause, double confidence,
-                             routing::PathSegment segment) {
-  // One suspicion per (round, cause).
-  for (const Suspicion& s : suspicions_) {
+void QueueValidator::alarm(std::int64_t round, const char* cause, double confidence,
+                           const routing::PathSegment& segment) {
+  for (const Suspicion& s : suspicions()) {
     if (s.cause == cause && s.interval == config_.clock.interval_of(round)) return;
   }
-  Suspicion s;
-  s.reporter = peer_;
-  s.segment = segment.empty() ? attributed_segment() : std::move(segment);
-  s.interval = config_.clock.interval_of(round);
-  s.cause = cause;
-  s.confidence = confidence;
-  util::log(util::LogLevel::kInfo, kComponent, "%s", s.to_string().c_str());
-  ++counters_.suspicions;
-  FATIH_TRACE_EMIT(net_.sim().trace(),
-                   suspicion(net_.sim().now(), obs::TraceSource::kChi, peer_, s.segment.front(),
-                             s.segment.back(), s.segment.length(), round, confidence, cause));
-  FATIH_METRIC_REG(net_.sim().metrics(), counter("chi.suspicions").inc());
-  suspicions_.push_back(s);
-  if (handler_) handler_(suspicions_.back());
-  if (conviction_ != nullptr) {
-    conviction_->accuse(peer_, static_cast<std::uint8_t>(obs::TraceSource::kChi), s.segment,
-                        round, cause);
-  }
+  raise(peer_, segment.empty() ? attributed_segment() : segment, round, cause, confidence);
 }
 
 // -------------------------------------------------------------- ChiEngine
@@ -840,12 +734,6 @@ std::vector<Suspicion> ChiEngine::all_suspicions() const {
   return out;
 }
 
-std::uint64_t ChiEngine::rounds_invalidated() const {
-  std::uint64_t total = 0;
-  for (const auto& v : validators_) total += v->rounds_invalidated();
-  return total;
-}
-
 DetectorCounters ChiEngine::counters() const {
   DetectorCounters total;
   for (const auto& v : validators_) {
@@ -881,38 +769,20 @@ ByzantineStats ChiEngine::guard_stats() const {
 
 std::uint64_t QueueValidator::state_fingerprint() const {
   // fatih-lint: allow(float-free-digest) learned moments enter the hash by IEEE-754 bit pattern, not FP arithmetic; values are pinned cross-worker by the drift suite
-  const auto fold_double = [](std::uint64_t acc, double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return util::fnv1a64_word(acc, bits);
+  const auto bits = [](double v) {
+    std::uint64_t out = 0;
+    std::memcpy(&out, &v, sizeof(out));
+    return out;
   };
-  std::uint64_t h = util::kFnvOffsetBasis;
-  h = util::fnv1a64_word(h, static_cast<std::uint64_t>(closed_round_));
-  h = util::fnv1a64_word(h, counters_.rounds_opened);
-  h = util::fnv1a64_word(h, counters_.rounds_evaluated);
-  h = util::fnv1a64_word(h, counters_.rounds_invalidated);
-  h = util::fnv1a64_word(h, counters_.suspicions);
-  h = util::fnv1a64_word(h, learned_ ? 1 : 0);
-  h = fold_double(h, mu_);
-  h = fold_double(h, sigma_);
-  h = fold_double(h, qpred_);
-  h = util::fnv1a64_word(h, events_.size() - events_head_);
-  h = util::fnv1a64_word(h, pending_entries_.size());
+  std::vector<std::uint64_t> state{learned_ ? 1u : 0u,           bits(mu_),
+                                   bits(sigma_),                bits(qpred_),
+                                   events_.size() - events_head_, pending_entries_.size()};
   for (const RoundStats& rs : round_stats_) {
-    h = util::fnv1a64_word(h, static_cast<std::uint64_t>(rs.round));
-    h = util::fnv1a64_word(h, rs.entries);
-    h = util::fnv1a64_word(h, rs.exits);
-    h = util::fnv1a64_word(h, rs.drops);
-    h = util::fnv1a64_word(h, rs.congestive);
-    h = util::fnv1a64_word(h, rs.suspicious);
-    h = util::fnv1a64_word(h, rs.delayed);
-    h = util::fnv1a64_word(h, (rs.alarmed ? 1u : 0u) | (rs.invalidated ? 2u : 0u));
+    state.insert(state.end(), {static_cast<std::uint64_t>(rs.round), rs.entries, rs.exits,
+                               rs.drops, rs.congestive, rs.suspicious, rs.delayed,
+                               (rs.alarmed ? 1u : 0u) | (rs.invalidated ? 2u : 0u)});
   }
-  for (const Suspicion& s : suspicions_) {
-    const std::string text = s.to_string();
-    h = util::fnv1a64(text.data(), text.size(), h);
-  }
-  return h;
+  return fingerprint(state);
 }
 
 }  // namespace fatih::detection

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -39,6 +38,7 @@
 #include "detection/messages.hpp"
 #include "detection/path_cache.hpp"
 #include "detection/reliable.hpp"
+#include "detection/round_driver.hpp"
 #include "detection/types.hpp"
 #include "sim/network.hpp"
 #include "sim/red.hpp"
@@ -47,8 +47,6 @@
 #include "util/stats.hpp"
 
 namespace fatih::detection {
-
-class ConvictionEngine;
 
 struct ChiConfig {
   RoundClock clock;
@@ -86,16 +84,16 @@ struct ChiConfig {
   std::int64_t rounds = 0;  ///< 0 = run until simulation ends
 };
 
-/// Validator for one output queue (r -> rd), hosted at rd.
-class QueueValidator {
+/// Validator for one output queue (r -> rd), hosted at rd. It raises at
+/// most one suspicion per (round, cause).
+class QueueValidator : public RoundDriver {
  public:
   QueueValidator(sim::Network& net, const crypto::KeyRegistry& keys, const PathCache& paths,
                  util::NodeId queue_owner, util::NodeId queue_peer, ChiConfig config);
 
+  /// Starts the two round chains: reports ship at each round end plus
+  /// settle/4, and the queue replay validates at round end plus settle.
   void start();
-
-  [[nodiscard]] const std::vector<Suspicion>& suspicions() const { return suspicions_; }
-  void set_suspicion_handler(SuspicionHandler h) { handler_ = std::move(h); }
 
   /// Calibrated error-model parameters (valid after learning completes).
   [[nodiscard]] double mu() const { return mu_; }
@@ -120,14 +118,6 @@ class QueueValidator {
   };
   [[nodiscard]] const std::vector<RoundStats>& rounds() const { return round_stats_; }
 
-  /// Churn-awareness: rounds whose replay was skipped because a route
-  /// change straddled them. Never counted as suspicions.
-  [[nodiscard]] std::uint64_t rounds_invalidated() const {
-    return counters_.rounds_invalidated;
-  }
-  /// Uniform engine introspection (same struct across pi2/pik2/chi).
-  [[nodiscard]] const DetectorCounters& counters() const { return counters_; }
-
   /// FNV fingerprint of the validator's evolving state: watermark,
   /// counters, calibration (mu/sigma bit patterns), per-round stats and
   /// replay-queue occupancy, for checkpoint digests.
@@ -147,12 +137,6 @@ class QueueValidator {
   /// to rd. A second, conflicting part for an already-shipped (reporter,
   /// round, part) is an equivocation rd can prove with the two envelopes.
   void inject_report(util::NodeId from, const ChiReport& report);
-
-  /// Optional conviction layer (see Pi2Engine::set_conviction_engine).
-  void set_conviction_engine(ConvictionEngine* c) { conviction_ = c; }
-
-  /// Control-plane verification counters (rejected reports, replays, ...).
-  [[nodiscard]] const ByzantineStats& guard_stats() const { return guard_.stats(); }
 
   /// Ground-truth error samples observed during learning (tests).
   [[nodiscard]] const util::RunningStats& error_stats() const { return error_stats_; }
@@ -176,30 +160,26 @@ class QueueValidator {
   };
 
   void install_taps();
+  /// The Tinfo record of `p` at (predicted or backdated) time `ts`.
+  [[nodiscard]] ChiRecord record(const sim::Packet& p, util::SimTime ts) const;
   void ship_reports(std::int64_t round);
   void validate(std::int64_t round);
   void stage_ready_entries(util::SimTime upto, RoundStats& stats);
+  void calibrate(validation::Fingerprint fp);
   void replay_droptail(util::SimTime upto, RoundStats& stats);
   void replay_red(util::SimTime upto, RoundStats& stats);
-  void finish_round(std::int64_t round, RoundStats& stats);
-  /// Raises a suspicion. An empty `segment` means "attribute the round's
-  /// unexplained drops": when every suspicious drop was fed by a single
-  /// reporter rs != r, the segment is {rs, r} (either r dropped rs's
-  /// packets or rs lied about sending them); otherwise the queue pair
-  /// {r, rd}.
-  void suspect(std::int64_t round, const char* cause, double confidence,
-               routing::PathSegment segment = {});
+  /// Raises a suspicion, once per (round, cause). An empty `segment`
+  /// means "attribute the round's unexplained drops": when every
+  /// suspicious drop was fed by a single reporter rs != r, the segment is
+  /// {rs, r} (either r dropped rs's packets or rs lied about sending
+  /// them); otherwise the queue pair {r, rd}.
+  void alarm(std::int64_t round, const char* cause, double confidence,
+             const routing::PathSegment& segment = {});
   [[nodiscard]] routing::PathSegment attributed_segment() const;
 
-  sim::Network& net_;
-  const crypto::KeyRegistry& keys_;
-  const PathCache& paths_;
   util::NodeId owner_;  ///< r
   util::NodeId peer_;   ///< rd
   ChiConfig config_;
-  ControlGuard guard_;
-  ConvictionEngine* conviction_ = nullptr;
-  std::int64_t closed_round_ = -1;  ///< highest validated round (watermark)
   ReliableChannel* channel_ = nullptr;
   validation::FingerprintHasher fp_{crypto::SipKey{}};
   sim::LinkParams link_;           ///< the r -> rd link
@@ -220,12 +200,10 @@ class QueueValidator {
   // Which neighbors owe a report for each round.
   util::FlatMap<std::int64_t, util::FlatSet<util::NodeId>> reports_due_;
   util::FlatSet<std::pair<util::NodeId, std::int64_t>> reports_seen_;  // all parts arrived
-  util::FlatMap<std::pair<util::NodeId, std::int64_t>, util::FlatSet<std::uint32_t>> parts_seen_;
-  // Equivocation ledger: first MAC-valid envelope per (reporter, round,
-  // part); a second, different one completes a self-incriminating proof.
-  util::FlatMap<std::tuple<util::NodeId, std::int64_t, std::uint32_t>, crypto::SignedEnvelope>
-      part_envelope_;
-  util::FlatSet<std::pair<util::NodeId, std::int64_t>> proof_filed_;
+  // Distinct parts arrived so far; the ledger spots duplicate parts.
+  util::FlatMap<std::pair<util::NodeId, std::int64_t>, std::uint32_t> parts_seen_;
+  // Statements are (reporter, part, round).
+  StatementLedger<std::tuple<util::NodeId, std::uint32_t, std::int64_t>> ledger_;
   // Per-reporter tally of this round's unexplained drops (framing defense).
   util::FlatMap<util::NodeId, std::uint64_t> suspicious_by_;
 
@@ -286,9 +264,6 @@ class QueueValidator {
   double sigma_ = 1.0;
 
   std::vector<RoundStats> round_stats_;
-  DetectorCounters counters_;
-  std::vector<Suspicion> suspicions_;
-  SuspicionHandler handler_;
   util::FlatMap<util::NodeId, SelfReportMutator> mutators_;
 };
 
@@ -307,8 +282,6 @@ class ChiEngine {
   void start();
 
   [[nodiscard]] std::vector<Suspicion> all_suspicions() const;
-  /// Sum of rounds_invalidated over all validators.
-  [[nodiscard]] std::uint64_t rounds_invalidated() const;
   /// Uniform engine introspection: the validators' counters, summed.
   [[nodiscard]] DetectorCounters counters() const;
   void set_suspicion_handler(SuspicionHandler h);

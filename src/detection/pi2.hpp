@@ -21,17 +21,15 @@
 #include <optional>
 #include <vector>
 
-#include "detection/byzantine.hpp"
 #include "detection/flood.hpp"
 #include "detection/reliable.hpp"
+#include "detection/round_driver.hpp"
 #include "detection/summary_gen.hpp"
 #include "detection/tv.hpp"
 #include "detection/types.hpp"
 #include "util/flat_map.hpp"
 
 namespace fatih::detection {
-
-class ConvictionEngine;
 
 struct Pi2Config {
   RoundClock clock;
@@ -50,8 +48,9 @@ struct Pi2Config {
 };
 
 /// The distributed Pi2 engine: one summary generator + evaluator per
-/// router, communicating through the simulated network.
-class Pi2Engine {
+/// router, communicating through the simulated network. Suspicions are
+/// deduplicated per (reporter, segment, round).
+class Pi2Engine : public RoundDriver {
  public:
   /// `terminals`: the routers that source/sink traffic (used to enumerate
   /// the in-use paths and hence the monitored segments).
@@ -60,11 +59,6 @@ class Pi2Engine {
 
   /// Starts the round scheduler.
   void start();
-
-  /// All suspicions raised so far by any router (deduplicated per
-  /// (reporter, segment, round)).
-  [[nodiscard]] const std::vector<Suspicion>& suspicions() const { return suspicions_; }
-  void set_suspicion_handler(SuspicionHandler h) { handler_ = std::move(h); }
 
   /// Protocol-fault injection: corrupt (return true to keep, after
   /// mutating) or suppress (return false) router r's outgoing summaries.
@@ -77,14 +71,6 @@ class Pi2Engine {
   /// cannot sign as anyone else, so the conflicting pair convicts `from`.
   void inject_summary(util::NodeId from, const SegmentSummary& summary);
 
-  /// Optional conviction layer: when attached, every suspicion is also
-  /// filed as a signed accusation and proven equivocations ship both
-  /// envelopes as evidence. Engines never convict on their own.
-  void set_conviction_engine(ConvictionEngine* c) { conviction_ = c; }
-
-  /// Control-plane verification counters (rejected floods, replays, ...).
-  [[nodiscard]] const ByzantineStats& guard_stats() const { return guard_.stats(); }
-
   /// The segments router r monitors.
   [[nodiscard]] std::vector<routing::PathSegment> monitored_by(util::NodeId r) const;
 
@@ -93,27 +79,15 @@ class Pi2Engine {
   /// Null unless config.reliable.enabled.
   [[nodiscard]] const ReliableChannel* channel() const { return channel_.get(); }
 
-  /// Churn-awareness: (segment, round) evaluations skipped because the
-  /// round straddled a route change on the monitored segment (or the
-  /// segment is off the live path after a reroute). Invalidated rounds
-  /// never become suspicions; detection resumes on the new path the next
-  /// settled round.
-  [[nodiscard]] std::uint64_t rounds_invalidated() const {
-    return counters_.rounds_invalidated;
-  }
-  /// Uniform engine introspection (same struct across pi2/pik2/chi).
-  [[nodiscard]] const DetectorCounters& counters() const { return counters_; }
-
   /// FNV fingerprint of the engine's evolving round state (watermark,
   /// counters, store sizes, raised suspicions), for checkpoint digests.
   [[nodiscard]] std::uint64_t state_fingerprint() const;
 
  private:
-  void run_round(std::int64_t round);
   void disseminate(std::int64_t round);
+  /// Signs `summary` with `from`'s key and floods it.
+  void flood_summary(util::NodeId from, SegmentSummary summary);
   void evaluate(std::int64_t round);
-  void suspect(util::NodeId reporter, const routing::PathSegment& pair, std::int64_t round,
-               const char* cause);
   /// Full admission check for one arriving flood copy: MAC + canonical
   /// decode + signer identity (guard) and the anti-replay round window.
   ControlVerdict vet(const sim::ControlPayload& payload, std::optional<SegmentSummary>& out,
@@ -121,14 +95,7 @@ class Pi2Engine {
   void on_invalid(util::NodeId at, util::NodeId prev, const sim::ControlPayload& payload);
   void on_delivery(util::NodeId at, const sim::ControlPayload& payload);
 
-  sim::Network& net_;
-  const crypto::KeyRegistry& keys_;
-  const PathCache& paths_;
   Pi2Config config_;
-  ControlGuard guard_;
-  ConvictionEngine* conviction_ = nullptr;
-  std::int64_t closed_round_ = -1;  ///< highest evaluated round (watermark)
-  DetectorCounters counters_;
   std::unique_ptr<ReliableChannel> channel_;  ///< null unless reliable.enabled
   std::unique_ptr<FloodService> flood_;
   std::vector<std::unique_ptr<SummaryGenerator>> generators_;  // per router id (may be null)
@@ -165,14 +132,8 @@ class Pi2Engine {
   util::FlatMap<std::tuple<std::size_t, util::NodeId, std::int64_t>, std::vector<Variant>>
       variants_;
   util::FlatMap<util::NodeId, ReportMutator> mutators_;
-  // Equivocation ledger: first MAC-valid envelope per (segment id,
-  // reporter, round); a second, different one completes a proof.
-  util::FlatMap<std::tuple<std::size_t, util::NodeId, std::int64_t>, crypto::SignedEnvelope>
-      first_envelope_;
-  util::FlatSet<std::tuple<std::size_t, util::NodeId, std::int64_t>> proof_filed_;
-  std::vector<Suspicion> suspicions_;
-  util::FlatSet<std::tuple<util::NodeId, routing::PathSegment, std::int64_t>> raised_;
-  SuspicionHandler handler_;
+  // Statements are (segment id, reporter, round).
+  StatementLedger<std::tuple<std::size_t, util::NodeId, std::int64_t>> ledger_;
 };
 
 }  // namespace fatih::detection

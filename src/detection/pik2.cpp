@@ -3,25 +3,16 @@
 #include <algorithm>
 #include <set>
 
-#include "detection/evidence.hpp"
-#include "util/hash.hpp"
-#include "util/log.hpp"
 #include "validation/bloom.hpp"
 #include "validation/reconcile.hpp"
 
 namespace fatih::detection {
 
-namespace {
-constexpr const char* kComponent = "pik2";
-}
-
 Pik2Engine::Pik2Engine(sim::Network& net, const crypto::KeyRegistry& keys, const PathCache& paths,
                        const std::vector<util::NodeId>& terminals, Pik2Config config)
-    : net_(net),
-      keys_(keys),
-      paths_(paths),
-      config_(config),
-      guard_(net, keys, obs::TraceSource::kPik2, "pik2") {
+    : RoundDriver(net, keys, paths, config.clock, config.rounds, obs::TraceSource::kPik2,
+                  "pik2"),
+      config_(config) {
   const auto used_paths = paths.tables().all_paths(terminals);
   const routing::SegmentIndex index(used_paths, config_.k);
   segments_ = index.all_pik2_segments();
@@ -58,16 +49,15 @@ Pik2Engine::Pik2Engine(sim::Network& net, const crypto::KeyRegistry& keys, const
     });
     channel_->set_failure_fn([this](util::NodeId from, util::NodeId /*to*/,
                                     const sim::ControlPayload& payload, util::SimTime) {
-      if (stopped_) return;
+      if (stopped()) return;
       // The sender could not get its summary through within the retry
       // budget: degrade to a suspicion of the exchange segment now rather
       // than stalling until the peer's timeout fires — unless the delivery
       // failure is explained by a route change underneath the exchange, in
       // which case the round is invalidated, not accused.
       const auto& p = static_cast<const SegmentSummaryPayload&>(payload);
-      if (churn_invalidated(p.summary.segment, p.summary.round)) {
-        ++counters_.rounds_invalidated;
-        FATIH_METRIC_REG(net_.sim().metrics(), counter("pik2.rounds_invalidated").inc());
+      if (churned(p.summary.round, p.summary.segment)) {
+        invalidate(p.summary.round, 1);
         return;
       }
       suspect(from, p.summary.segment, p.summary.round, "exchange-undeliverable");
@@ -76,19 +66,14 @@ Pik2Engine::Pik2Engine(sim::Network& net, const crypto::KeyRegistry& keys, const
 }
 
 void Pik2Engine::start() {
-  // Begin with the first round whose collection point is still ahead
-  // (an engine commissioned mid-experiment skips the already-past rounds).
-  std::int64_t round = 0;
-  while (config_.clock.interval_of(round).end + config_.collect_settle <= net_.sim().now()) {
-    ++round;
-  }
-  const auto first = config_.clock.interval_of(round).end + config_.collect_settle;
-  const std::int64_t start_round = round;
-  net_.sim().schedule_at(first, [this, start_round] { run_round(start_round); });
+  start_rounds(
+      config_.collect_settle, config_.exchange_timeout,
+      [this](std::int64_t round) { exchange(round); },
+      [this](std::int64_t round) { evaluate(round); });
 }
 
 void Pik2Engine::stop() {
-  stopped_ = true;
+  stop_rounds();
   for (auto& gen : generators_) {
     if (gen != nullptr) gen->set_enabled(false);
   }
@@ -100,21 +85,6 @@ std::vector<routing::PathSegment> Pik2Engine::monitored_by(util::NodeId r) const
     if (seg.is_end(r)) out.push_back(seg);
   }
   return out;
-}
-
-void Pik2Engine::run_round(std::int64_t round) {
-  if (stopped_) return;
-  ++counters_.rounds_opened;
-  FATIH_TRACE_EMIT(net_.sim().trace(),
-                   round_event(net_.sim().now(), obs::TraceSource::kPik2,
-                               obs::TraceCode::kRoundOpen, round));
-  FATIH_METRIC_REG(net_.sim().metrics(), counter("pik2.rounds_opened").inc());
-  exchange(round);
-  net_.sim().schedule_in(config_.exchange_timeout, [this, round] { evaluate(round); });
-  if (config_.rounds == 0 || round + 1 < config_.rounds) {
-    const auto next = config_.clock.interval_of(round + 1).end + config_.collect_settle;
-    net_.sim().schedule_at(next, [this, round] { run_round(round + 1); });
-  }
 }
 
 void Pik2Engine::exchange(std::int64_t round) {
@@ -147,42 +117,33 @@ void Pik2Engine::exchange(std::int64_t round) {
         summary.counters.packets = elem_vec.size();  // distinct-set cardinality
         summary.content.clear();
       }
-      const util::NodeId peer = (r == seg.front()) ? seg.back() : seg.front();
-      auto payload = std::make_shared<SegmentSummaryPayload>();
-      payload->kind_tag = kKindSegmentSummary;
-      payload->envelope = crypto::sign(keys_, r, summary.to_bytes());
-      payload->summary = std::move(summary);
-      const std::uint32_t bytes = payload->summary.wire_bytes();
-      exchange_bytes_ += sim::kHeaderBytes + bytes;
-      FATIH_TRACE_EMIT(net_.sim().trace(),
-                       exchange(net_.sim().now(), obs::TraceSource::kPik2,
-                                obs::TraceCode::kExchangeSend, r, peer, round, bytes));
-      // The exchange is routed normally; the stable route between the two
-      // ends IS the segment (subpaths of shortest paths), so a faulty
-      // interior router sits on the exchange path and can only cause a
-      // timeout — which is itself a detection (§5.2).
-      if (channel_ != nullptr) {
-        channel_->send(r, peer, std::move(payload), bytes, ReliableChannel::Via::kRouted);
-        continue;
-      }
-      sim::PacketHeader hdr;
-      hdr.src = r;
-      hdr.dst = peer;
-      hdr.proto = sim::Protocol::kControl;
-      sim::Packet p = net_.make_packet(hdr, bytes);
-      p.control = std::move(payload);
-      net_.router(r).originate(p);
+      send_summary(r, (r == seg.front()) ? seg.back() : seg.front(), std::move(summary));
     }
   }
+}
+
+void Pik2Engine::send_summary(util::NodeId from, util::NodeId peer, SegmentSummary summary) {
+  auto payload = std::make_shared<SegmentSummaryPayload>();
+  payload->kind_tag = kKindSegmentSummary;
+  payload->envelope = crypto::sign(keys_, from, summary.to_bytes());
+  payload->summary = std::move(summary);
+  const std::uint32_t bytes = payload->summary.wire_bytes();
+  exchange_bytes_ += sim::kHeaderBytes + bytes;
+  FATIH_TRACE_EMIT(net_.sim().trace(),
+                   exchange(net_.sim().now(), obs::TraceSource::kPik2,
+                            obs::TraceCode::kExchangeSend, from, peer, payload->summary.round,
+                            bytes));
+  // The exchange is routed normally; the stable route between the two
+  // ends IS the segment (subpaths of shortest paths), so a faulty interior
+  // router sits on the exchange path and can only cause a timeout — which
+  // is itself a detection (§5.2).
+  send_control(channel_.get(), from, peer, std::move(payload), bytes);
 }
 
 void Pik2Engine::on_summary(util::NodeId at, const SegmentSummaryPayload& payload) {
   std::optional<SegmentSummary> decoded;
   ControlVerdict verdict = guard_.check_summary(payload.envelope, decoded);
-  if (verdict == ControlVerdict::kOk) {
-    verdict = guard_.admit_round(decoded->round, closed_round_,
-                                 config_.clock.round_of(net_.sim().now()));
-  }
+  if (verdict == ControlVerdict::kOk) verdict = admit_round(decoded->round);
   if (verdict != ControlVerdict::kOk) {
     // Unicast exchange: honest interior routers forward blindly, so a bad
     // summary has no attributable hop — drop and count. An interior
@@ -197,56 +158,25 @@ void Pik2Engine::on_summary(util::NodeId at, const SegmentSummaryPayload& payloa
   if (!seg.is_end(at) || !seg.is_end(decoded->reporter) || decoded->reporter == at) return;
   const std::tuple<util::NodeId, routing::PathSegment, std::int64_t> key{at, seg,
                                                                          decoded->round};
-  const auto [env_it, fresh] = peer_envelope_.emplace(key, payload.envelope);
-  if (!fresh) {
-    if (env_it->second.payload != payload.envelope.payload) {
-      // Two MAC-valid, conflicting summaries from the same end for the
-      // same (segment, round): a self-incriminating equivocation proof.
-      FATIH_TRACE_EMIT(net_.sim().trace(),
-                       byzantine(net_.sim().now(), obs::TraceSource::kPik2,
-                                 obs::TraceCode::kEquivocationProven, at, decoded->reporter,
-                                 decoded->round, 0, "conflicting-summaries"));
-      FATIH_METRIC_REG(net_.sim().metrics(), counter("byzantine.pik2.equivocations").inc());
-      if (conviction_ != nullptr && proof_filed_.insert(key).second) {
-        conviction_->accuse(at, static_cast<std::uint8_t>(obs::TraceSource::kPik2),
-                            routing::PathSegment{decoded->reporter}, decoded->round,
-                            "equivocation", {env_it->second, payload.envelope});
-      }
-      suspect(at, routing::PathSegment{decoded->reporter}, decoded->round, "equivocation");
-    }
-    return;  // first verified summary stays authoritative
+  // Two MAC-valid, conflicting summaries from the same end for the same
+  // (segment, round) are a self-incriminating equivocation proof.
+  const Statement offered =
+      offer(ledger_, key, payload.envelope, at, 0, "conflicting-summaries");
+  if (offered == Statement::kConflict) {
+    suspect(at, routing::PathSegment{decoded->reporter}, decoded->round, "equivocation");
   }
+  if (offered != Statement::kFirst) return;  // the first verified summary stays authoritative
   guard_.accept();
   peer_[key] = std::move(*decoded);
 }
 
-bool Pik2Engine::churn_invalidated(const routing::PathSegment& seg, std::int64_t round) const {
-  const auto interval = config_.clock.interval_of(round);
-  const auto now = net_.sim().now();
-  // Whole-fabric test, not per-segment path stability: recorders judge
-  // packets against the end-to-end path at creation time, so a reroute of
-  // a flow contaminates summaries even on segments whose own endpoints
-  // kept their path (the flow's source records packets "into" a segment
-  // they now detour around).
-  if (paths_.changed_during(interval.begin, now)) return true;
-  // After a reroute the exchange segment may simply no longer carry the
-  // traffic (or the exchange itself): off-path segments are parked, not
-  // judged. Only applies once churn has actually produced an epoch.
-  return paths_.epoch_count() > 1 &&
-         !seg.within(paths_.path_at(seg.front(), seg.back(), now));
-}
-
 void Pik2Engine::evaluate(std::int64_t round) {
-  if (stopped_) return;
-  std::uint64_t invalidated_here = 0;
+  std::uint64_t invalidated = 0;
   for (const auto& seg : segments_) {
-    // Churn awareness: rounds straddling a route change on the exchange
-    // segment are invalidated (the transient mixes blackholed and detoured
-    // traffic with honest forwarding); detection resumes the first settled
-    // round on the new path.
-    if (churn_invalidated(seg, round)) {
-      ++counters_.rounds_invalidated;
-      ++invalidated_here;
+    // Churn awareness: rounds straddling a route change, or a segment off
+    // the live path after a reroute, are not judged.
+    if (churned(round, seg)) {
+      ++invalidated;
       continue;
     }
     for (const util::NodeId r : {seg.front(), seg.back()}) {
@@ -297,27 +227,21 @@ void Pik2Engine::evaluate(std::int64_t round) {
             net_.sim().metrics(), local, peer_it->second.recon_evals,
             static_cast<std::size_t>(peer_it->second.counters.packets), points,
             config_.reconcile_bound);
-        TvOutcome outcome;
-        if (!result.has_value()) {
-          // Difference beyond the bound: unconditionally suspicious.
-          outcome.ok = false;
-          outcome.lost = config_.reconcile_bound + 1;
-        } else {
+        bool ok = false;  // a difference beyond the bound is always suspicious
+        if (result.has_value()) {
           // only_local = packets we have that the peer lacks; orientation
           // decides which side is "lost" vs "fabricated".
           const bool we_are_upstream = r == seg.front();
           const auto here_only = result->only_local.size();
           const auto there_only = result->only_remote.size();
-          outcome.lost = we_are_upstream ? here_only : there_only;
-          outcome.fabricated = we_are_upstream ? there_only : here_only;
           const auto allowance = std::max(
               config_.thresholds.max_lost_packets,
               static_cast<std::uint64_t>(config_.thresholds.max_lost_fraction *
                                          static_cast<double>(local.size())));
-          outcome.ok = outcome.lost <= allowance &&
-                       outcome.fabricated <= config_.thresholds.max_fabricated;
+          ok = (we_are_upstream ? here_only : there_only) <= allowance &&
+               (we_are_upstream ? there_only : here_only) <= config_.thresholds.max_fabricated;
         }
-        if (!outcome.ok) suspect(r, seg, round, "tv-failed");
+        if (!ok) suspect(r, seg, round, "tv-failed");
         continue;
       }
       // Orient: upstream summary is the segment's front end. Spans into
@@ -331,91 +255,22 @@ void Pik2Engine::evaluate(std::int64_t round) {
       if (!outcome.ok) suspect(r, seg, round, "tv-failed");
     }
   }
-  // Close the anti-replay window, then drop the round's state (closed
-  // rounds can no longer gain equivocation conflicts — the watermark
-  // rejects their copies at arrival).
-  closed_round_ = std::max(closed_round_, round);
+  // Drop the round's state, then close the anti-replay window.
   own_.erase_if([round](const auto& kv) { return std::get<2>(kv.first) <= round; });
   peer_.erase_if([round](const auto& kv) { return std::get<2>(kv.first) <= round; });
-  peer_envelope_.erase_if([round](const auto& kv) { return std::get<2>(kv.first) <= round; });
-  proof_filed_.erase_if([round](const auto& k) { return std::get<2>(k) <= round; });
-  if (invalidated_here > 0) {
-    FATIH_TRACE_EMIT(net_.sim().trace(),
-                     round_event(net_.sim().now(), obs::TraceSource::kPik2,
-                                 obs::TraceCode::kRoundInvalidated, round, invalidated_here));
-    FATIH_METRIC_REG(net_.sim().metrics(),
-                     counter("pik2.rounds_invalidated").inc(invalidated_here));
-  }
-  ++counters_.rounds_evaluated;
-  FATIH_TRACE_EMIT(net_.sim().trace(),
-                   round_event(net_.sim().now(), obs::TraceSource::kPik2,
-                               obs::TraceCode::kRoundClose, round));
-  FATIH_METRIC_REG(net_.sim().metrics(), counter("pik2.rounds_evaluated").inc());
-}
-
-void Pik2Engine::suspect(util::NodeId reporter, const routing::PathSegment& segment,
-                         std::int64_t round, const char* cause, double confidence) {
-  if (!raised_.insert({reporter, segment, round}).second) return;
-  Suspicion s;
-  s.reporter = reporter;
-  s.segment = segment;
-  s.interval = config_.clock.interval_of(round);
-  s.cause = cause;
-  s.confidence = confidence;
-  util::log(util::LogLevel::kInfo, kComponent, "%s", s.to_string().c_str());
-  ++counters_.suspicions;
-  FATIH_TRACE_EMIT(net_.sim().trace(),
-                   suspicion(net_.sim().now(), obs::TraceSource::kPik2, reporter,
-                             segment.front(), segment.back(), segment.length(), round,
-                             confidence, cause));
-  FATIH_METRIC_REG(net_.sim().metrics(), counter("pik2.suspicions").inc());
-  suspicions_.push_back(s);
-  if (handler_) handler_(suspicions_.back());
-  if (conviction_ != nullptr) {
-    // Evidence-free witness vote; whole-segment suspicions never convict
-    // (precision > 1), only a precision-1 quorum or a proof does.
-    conviction_->accuse(reporter, static_cast<std::uint8_t>(obs::TraceSource::kPik2), segment,
-                        round, cause);
-  }
+  ledger_.forget_through(round);
+  invalidate(round, invalidated);
+  close_round(round);
 }
 
 void Pik2Engine::inject_summary(util::NodeId from, const SegmentSummary& summary) {
   const auto& seg = summary.segment;
-  const util::NodeId peer = (from == seg.front()) ? seg.back() : seg.front();
-  auto payload = std::make_shared<SegmentSummaryPayload>();
-  payload->kind_tag = kKindSegmentSummary;
-  payload->envelope = crypto::sign(keys_, from, summary.to_bytes());
-  payload->summary = summary;
-  const std::uint32_t bytes = payload->summary.wire_bytes();
-  exchange_bytes_ += sim::kHeaderBytes + bytes;
-  if (channel_ != nullptr) {
-    channel_->send(from, peer, std::move(payload), bytes, ReliableChannel::Via::kRouted);
-    return;
-  }
-  sim::PacketHeader hdr;
-  hdr.src = from;
-  hdr.dst = peer;
-  hdr.proto = sim::Protocol::kControl;
-  sim::Packet p = net_.make_packet(hdr, bytes);
-  p.control = std::move(payload);
-  net_.router(from).originate(p);
+  send_summary(from, (from == seg.front()) ? seg.back() : seg.front(), summary);
 }
 
 std::uint64_t Pik2Engine::state_fingerprint() const {
-  std::uint64_t h = util::kFnvOffsetBasis;
-  h = util::fnv1a64_word(h, static_cast<std::uint64_t>(closed_round_));
-  h = util::fnv1a64_word(h, counters_.rounds_opened);
-  h = util::fnv1a64_word(h, counters_.rounds_evaluated);
-  h = util::fnv1a64_word(h, counters_.rounds_invalidated);
-  h = util::fnv1a64_word(h, counters_.suspicions);
-  h = util::fnv1a64_word(h, own_.size());
-  h = util::fnv1a64_word(h, peer_.size());
-  h = util::fnv1a64_word(h, exchange_bytes_);
-  for (const Suspicion& s : suspicions_) {
-    const std::string text = s.to_string();
-    h = util::fnv1a64(text.data(), text.size(), h);
-  }
-  return h;
+  const std::uint64_t state[] = {own_.size(), peer_.size(), exchange_bytes_};
+  return fingerprint(state);
 }
 
 }  // namespace fatih::detection

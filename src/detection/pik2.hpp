@@ -17,16 +17,14 @@
 #include <optional>
 #include <vector>
 
-#include "detection/byzantine.hpp"
 #include "detection/reliable.hpp"
+#include "detection/round_driver.hpp"
 #include "detection/summary_gen.hpp"
 #include "detection/tv.hpp"
 #include "detection/types.hpp"
 #include "util/flat_map.hpp"
 
 namespace fatih::detection {
-
-class ConvictionEngine;
 
 /// How summaries travel between the segment ends.
 enum class SummaryCompression {
@@ -63,7 +61,8 @@ struct Pik2Config {
   std::int64_t rounds = 0;  ///< 0 = run until simulation ends
 };
 
-class Pik2Engine {
+/// Suspicions are deduplicated per (reporter, segment, round).
+class Pik2Engine : public RoundDriver {
  public:
   Pik2Engine(sim::Network& net, const crypto::KeyRegistry& keys, const PathCache& paths,
              const std::vector<util::NodeId>& terminals, Pik2Config config);
@@ -75,9 +74,6 @@ class Pik2Engine {
   /// object must stay alive, parked.
   void stop();
 
-  [[nodiscard]] const std::vector<Suspicion>& suspicions() const { return suspicions_; }
-  void set_suspicion_handler(SuspicionHandler h) { handler_ = std::move(h); }
-
   /// Protocol-fault injection, as in Pi2Engine.
   using ReportMutator = std::function<bool(SegmentSummary&)>;
   void set_report_mutator(util::NodeId r, ReportMutator m) { mutators_[r] = std::move(m); }
@@ -88,26 +84,11 @@ class Pik2Engine {
   /// can prove with the two envelopes.
   void inject_summary(util::NodeId from, const SegmentSummary& summary);
 
-  /// Optional conviction layer (see Pi2Engine::set_conviction_engine).
-  void set_conviction_engine(ConvictionEngine* c) { conviction_ = c; }
-
-  /// Control-plane verification counters (rejected exchanges, replays...).
-  [[nodiscard]] const ByzantineStats& guard_stats() const { return guard_.stats(); }
-
   /// Segments with r as an end (its Pr).
   [[nodiscard]] std::vector<routing::PathSegment> monitored_by(util::NodeId r) const;
 
   /// Total control bytes shipped by the exchange so far (overhead bench).
   [[nodiscard]] std::uint64_t exchange_bytes() const { return exchange_bytes_; }
-
-  /// Churn-awareness: (segment, round) evaluations skipped because the
-  /// round straddled a route change on the exchange segment. Never counted
-  /// as suspicions.
-  [[nodiscard]] std::uint64_t rounds_invalidated() const {
-    return counters_.rounds_invalidated;
-  }
-  /// Uniform engine introspection (same struct across pi2/pik2/chi).
-  [[nodiscard]] const DetectorCounters& counters() const { return counters_; }
 
   /// FNV fingerprint of the engine's evolving round state (watermark,
   /// counters, store sizes, exchange bytes, raised suspicions), for
@@ -118,25 +99,13 @@ class Pik2Engine {
   [[nodiscard]] const ReliableChannel* channel() const { return channel_.get(); }
 
  private:
-  void run_round(std::int64_t round);
   void exchange(std::int64_t round);
+  /// Signs `summary` as `from` and sends it to the segment's far end.
+  void send_summary(util::NodeId from, util::NodeId peer, SegmentSummary summary);
   void evaluate(std::int64_t round);
   void on_summary(util::NodeId at, const SegmentSummaryPayload& payload);
-  void suspect(util::NodeId reporter, const routing::PathSegment& segment, std::int64_t round,
-               const char* cause, double confidence = 1.0);
-  /// True iff the round's verdict on `seg` would be contaminated by a
-  /// route change (round interval through `now` overlaps a transition
-  /// affecting the segment, or the segment is off the live path).
-  [[nodiscard]] bool churn_invalidated(const routing::PathSegment& seg, std::int64_t round) const;
 
-  sim::Network& net_;
-  const crypto::KeyRegistry& keys_;
-  const PathCache& paths_;
   Pik2Config config_;
-  ControlGuard guard_;
-  ConvictionEngine* conviction_ = nullptr;
-  std::int64_t closed_round_ = -1;  ///< highest evaluated round (watermark)
-  DetectorCounters counters_;
   std::unique_ptr<ReliableChannel> channel_;  ///< null unless reliable.enabled
   std::vector<std::unique_ptr<SummaryGenerator>> generators_;
   std::vector<routing::PathSegment> segments_;
@@ -156,18 +125,10 @@ class Pik2Engine {
   // verified summary wins; a later conflicting one is an equivocation.
   util::FlatMap<std::tuple<util::NodeId, routing::PathSegment, std::int64_t>, SegmentSummary>
       peer_;
-  // The envelope backing each peer_ entry, kept so a conflicting second
-  // summary can be filed as a two-envelope equivocation proof.
-  util::FlatMap<std::tuple<util::NodeId, routing::PathSegment, std::int64_t>,
-                crypto::SignedEnvelope>
-      peer_envelope_;
-  util::FlatSet<std::tuple<util::NodeId, routing::PathSegment, std::int64_t>> proof_filed_;
+  // The envelope backing each peer_ entry, under the same key.
+  StatementLedger<std::tuple<util::NodeId, routing::PathSegment, std::int64_t>> ledger_;
   util::FlatMap<util::NodeId, ReportMutator> mutators_;
   std::uint64_t exchange_bytes_ = 0;
-  bool stopped_ = false;
-  std::vector<Suspicion> suspicions_;
-  util::FlatSet<std::tuple<util::NodeId, routing::PathSegment, std::int64_t>> raised_;
-  SuspicionHandler handler_;
 };
 
 }  // namespace fatih::detection

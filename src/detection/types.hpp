@@ -44,7 +44,7 @@ struct DetectorCounters {
   std::uint64_t rounds_opened = 0;
   /// Rounds that reached evaluation (including partially invalidated ones).
   std::uint64_t rounds_evaluated = 0;
-  /// (segment, round) evaluations skipped for churn; see rounds_invalidated().
+  /// (segment, round) evaluations skipped for churn; never suspicions.
   std::uint64_t rounds_invalidated = 0;
   /// Suspicions raised (post-dedup).
   std::uint64_t suspicions = 0;

@@ -127,7 +127,7 @@ RunResult run_pik2_churn_fixture() {
   RunResult out;
   out.events_dispatched = h.n.net.sim().events_dispatched();
   for (const auto& s : engine.suspicions()) out.suspicions.push_back(s.to_string());
-  out.rounds_invalidated = engine.rounds_invalidated();
+  out.rounds_invalidated = engine.counters().rounds_invalidated;
   return out;
 }
 
@@ -146,7 +146,7 @@ RunResult run_chi_churn_fixture() {
   RunResult out;
   out.events_dispatched = h.n.net.sim().events_dispatched();
   for (const auto& s : v.suspicions()) out.suspicions.push_back(s.to_string());
-  out.rounds_invalidated = v.rounds_invalidated();
+  out.rounds_invalidated = v.counters().rounds_invalidated;
   return out;
 }
 

@@ -102,6 +102,19 @@ RunRecord run_once(std::uint64_t seed) {
   return rec;
 }
 
+/// The engine's introspection counters and its "<engine>.*" registry
+/// mirror agree, and the flap invalidated some of its rounds.
+void expect_mirrored(const obs::MetricsRegistry& metrics, const std::string& engine,
+                     const DetectorCounters& c) {
+  SCOPED_TRACE(engine);
+  EXPECT_EQ(metrics.counter_value(engine + ".rounds_opened"), c.rounds_opened);
+  EXPECT_EQ(metrics.counter_value(engine + ".rounds_evaluated"), c.rounds_evaluated);
+  EXPECT_EQ(metrics.counter_value(engine + ".rounds_invalidated"), c.rounds_invalidated);
+  EXPECT_EQ(metrics.counter_value(engine + ".suspicions"), c.suspicions);
+  EXPECT_GT(c.rounds_opened, 0U);
+  EXPECT_GT(c.rounds_invalidated, 0U);
+}
+
 void expect_counters_eq(const DetectorCounters& x, const DetectorCounters& y) {
   EXPECT_EQ(x.rounds_opened, y.rounds_opened);
   EXPECT_EQ(x.rounds_evaluated, y.rounds_evaluated);
@@ -139,6 +152,7 @@ TEST(TraceDeterminism, EveryInstrumentedLayerAppearsInTheTrace) {
   obs::MetricsRegistry metrics;
   {
     // Re-run once with the sink shared so we can query the live objects.
+    // Pi2 and chi ride along so every engine's registry mirror is checked.
     testing::ChurnNet n(7);
     n.net.attach_observability(&sink, &metrics);
     n.add_cbr(0, 2, 1, 400.0, 2.05, 16.5);
@@ -155,17 +169,26 @@ TEST(TraceDeterminism, EveryInstrumentedLayerAppearsInTheTrace) {
     pk.rounds = kRounds;
     pk.reliable.enabled = true;
     Pik2Engine pik2(n.net, n.keys, *n.paths, testing::ChurnNet::terminals(), pk);
+    Pi2Config p2;
+    p2.clock = testing::ChurnNet::clock();
+    p2.collect_settle = Duration::millis(150);
+    p2.evaluate_settle = Duration::millis(300);
+    p2.rounds = kRounds;
+    Pi2Engine pi2(n.net, n.keys, *n.paths, testing::ChurnNet::terminals(), p2);
+    ChiConfig cc;
+    cc.clock = testing::ChurnNet::clock();
+    cc.learning_rounds = 3;
+    cc.rounds = kRounds;
+    QueueValidator chi(n.net, n.keys, *n.paths, /*owner=*/1, /*peer=*/2, cc);
     testing::ChurnNet::flap_schedule().arm(n.net);
     pik2.start();
+    pi2.start();
+    chi.start();
     n.net.sim().run_until(SimTime::from_seconds(kEndS));
 
-    // The engine's introspection counters and the registry mirror agree.
-    const DetectorCounters& c = pik2.counters();
-    EXPECT_EQ(metrics.counter_value("pik2.rounds_opened"), c.rounds_opened);
-    EXPECT_EQ(metrics.counter_value("pik2.rounds_evaluated"), c.rounds_evaluated);
-    EXPECT_EQ(metrics.counter_value("pik2.rounds_invalidated"), c.rounds_invalidated);
-    EXPECT_EQ(metrics.counter_value("pik2.suspicions"), c.suspicions);
-    EXPECT_GT(c.rounds_invalidated, 0U);  // the flap straddled rounds
+    expect_mirrored(metrics, "pik2", pik2.counters());
+    expect_mirrored(metrics, "pi2", pi2.counters());
+    expect_mirrored(metrics, "chi", chi.counters());
 
     // Reliable transport counters mirror the channel stats.
     ASSERT_NE(pik2.channel(), nullptr);
