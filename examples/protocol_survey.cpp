@@ -45,7 +45,7 @@ struct Scenario {
   std::unique_ptr<traffic::CbrSource> source;
 
   Scenario() {
-    for (int i = 0; i < 5; ++i) net.add_router("r" + std::to_string(i));
+    for (util::NodeId i = 0; i < 5; ++i) net.add_router(util::node_name(i));
     sim::LinkConfig link;
     link.bandwidth_bps = 1e8;
     link.delay = Duration::millis(1);

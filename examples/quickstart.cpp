@@ -26,7 +26,7 @@ int main() {
 
   // 1. A line of five routers: r0 - r1 - r2 - r3 - r4.
   sim::Network net(/*seed=*/1);
-  for (int i = 0; i < 5; ++i) net.add_router("r" + std::to_string(i));
+  for (util::NodeId i = 0; i < 5; ++i) net.add_router(util::node_name(i));
   sim::LinkConfig link;
   link.bandwidth_bps = 1e8;                 // 100 Mbps
   link.delay = Duration::millis(1);

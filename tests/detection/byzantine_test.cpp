@@ -138,7 +138,7 @@ struct DiamondNet {
   std::vector<std::unique_ptr<traffic::CbrSource>> sources;
 
   explicit DiamondNet(ConvictionConfig ccfg = {}) {
-    for (int i = 0; i < 4; ++i) net.add_router("r" + std::to_string(i));
+    for (util::NodeId i = 0; i < 4; ++i) net.add_router(util::node_name(i));
     for (auto [a, b] : {std::pair<NodeId, NodeId>{0, 1}, {0, 2}, {1, 3}, {2, 3}}) {
       net.connect(a, b, testing::fast_link());
     }

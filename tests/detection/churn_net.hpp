@@ -39,7 +39,7 @@ struct ChurnNet {
   std::vector<std::unique_ptr<traffic::CbrSource>> sources;
 
   explicit ChurnNet(std::uint64_t seed = 7) : net(seed) {
-    for (int i = 0; i < 4; ++i) net.add_router("r" + std::to_string(i));
+    for (util::NodeId i = 0; i < 4; ++i) net.add_router(util::node_name(i));
     connect(0, 1, 1);
     connect(1, 2, 1);
     connect(0, 3, 5);

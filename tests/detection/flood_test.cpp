@@ -101,7 +101,7 @@ struct LineFloodNet {
   std::map<NodeId, std::size_t> deliveries;
 
   LineFloodNet() {
-    for (int i = 0; i < 5; ++i) net.add_router("r" + std::to_string(i));
+    for (util::NodeId i = 0; i < 5; ++i) net.add_router(util::node_name(i));
     for (NodeId i = 0; i + 1 < 5; ++i) {
       sim::LinkConfig link;
       link.delay = Duration::millis(1);

@@ -105,7 +105,7 @@ TEST(RobustMultipath, DeliversDespiteFaultyRouters) {
   // Perlman's TotalFault(f) robustness: with f=1 and two disjoint paths,
   // one compromised interior router cannot stop delivery.
   sim::Network net(9);
-  for (int i = 0; i < 4; ++i) net.add_router("r" + std::to_string(i));
+  for (util::NodeId i = 0; i < 4; ++i) net.add_router(util::node_name(i));
   sim::LinkConfig cfg;
   cfg.bandwidth_bps = 1e8;
   cfg.delay = Duration::millis(1);
@@ -153,7 +153,7 @@ TEST(RobustMultipath, ThrowsWithoutDiversity) {
 
 TEST(RobustMultipath, DuplicatesShareFingerprint) {
   sim::Network net(11);
-  for (int i = 0; i < 4; ++i) net.add_router("r" + std::to_string(i));
+  for (util::NodeId i = 0; i < 4; ++i) net.add_router(util::node_name(i));
   sim::LinkConfig cfg;
   net.connect(0, 1, cfg);
   net.connect(0, 2, cfg);

@@ -32,7 +32,7 @@ struct LineNet {
 
   explicit LineNet(std::size_t n, sim::LinkConfig cfg = fast_link(), std::uint64_t seed = 1)
       : net(seed) {
-    for (std::size_t i = 0; i < n; ++i) net.add_router("r" + std::to_string(i));
+    for (util::NodeId i = 0; i < n; ++i) net.add_router(util::node_name(i));
     for (util::NodeId i = 0; i + 1 < n; ++i) net.connect(i, static_cast<util::NodeId>(i + 1), cfg);
     tables = std::make_shared<routing::RoutingTables>(routing::Topology::from_network(net));
     routing::install_static_routes(net, *tables);
