@@ -2,35 +2,43 @@
 
 namespace fatih::crypto {
 
-MacTag compute_mac(SipKey key, std::span<const std::byte> data) {
-  // Two-pass keyed hash (HMAC-style inner/outer) to harden against
-  // extension-style mischief; SipHash itself is already a PRF, so this is
-  // belt-and-braces.
-  const std::uint64_t inner = siphash24(key, data);
+namespace {
+// Two-pass keyed hash (HMAC-style inner/outer) to harden against
+// extension-style mischief; SipHash itself is already a PRF, so this is
+// belt-and-braces.
+MacTag outer_mac(SipKey key, std::uint64_t inner) {
   const SipKey outer_key{key.k0 ^ 0x5C5C5C5C5C5C5C5CULL, key.k1 ^ 0x3636363636363636ULL};
   return siphash24(outer_key, &inner, sizeof(inner));
+}
+
+// The MAC of signer ‖ payload: binding the signer identity into the tag
+// means an envelope cannot be re-attributed. Both parts are hashed in
+// place.
+MacTag envelope_mac(const KeyRegistry& reg, util::NodeId signer,
+                    std::span<const std::byte> payload) {
+  const SipKey key = reg.signing_key(signer);
+  SipHasher inner(key);
+  inner.update(&signer, sizeof(signer));
+  inner.update(payload);
+  return outer_mac(key, inner.finish());
+}
+}  // namespace
+
+MacTag compute_mac(SipKey key, std::span<const std::byte> data) {
+  return outer_mac(key, siphash24(key, data));
 }
 
 SignedEnvelope sign(const KeyRegistry& reg, util::NodeId signer, std::vector<std::byte> payload) {
   SignedEnvelope env;
   env.signer = signer;
   env.payload = std::move(payload);
-  // Bind the signer identity into the tag so an envelope cannot be re-attributed.
-  std::vector<std::byte> bound;
-  bound.reserve(env.payload.size() + sizeof(signer));
-  append_bytes(bound, signer);
-  bound.insert(bound.end(), env.payload.begin(), env.payload.end());
-  env.tag = compute_mac(reg.signing_key(signer), bound);
+  env.tag = envelope_mac(reg, signer, env.payload);
   return env;
 }
 
 bool verify(const KeyRegistry& reg, const SignedEnvelope& env) {
   if (env.signer == util::kInvalidNode) return false;
-  std::vector<std::byte> bound;
-  bound.reserve(env.payload.size() + sizeof(env.signer));
-  append_bytes(bound, env.signer);
-  bound.insert(bound.end(), env.payload.begin(), env.payload.end());
-  return compute_mac(reg.signing_key(env.signer), bound) == env.tag;
+  return envelope_mac(reg, env.signer, env.payload) == env.tag;
 }
 
 }  // namespace fatih::crypto

@@ -6,27 +6,43 @@
 
 namespace fatih::crypto {
 
-std::uint64_t siphash24(SipKey key, std::span<const std::byte> data) {
+SipHasher::SipHasher(SipKey key) {
   const SipSchedule sched(key);
-  detail::SipState s{sched.v0, sched.v1, sched.v2, sched.v3};
+  s_ = detail::SipState{sched.v0, sched.v1, sched.v2, sched.v3};
+}
 
+void SipHasher::update(std::span<const std::byte> data) {
   const auto* in = reinterpret_cast<const std::uint8_t*>(data.data());
-  const std::size_t len = data.size();
-  const std::size_t full_blocks = len / 8;
-
-  for (std::size_t i = 0; i < full_blocks; ++i) {
-    s.absorb(detail::load_le64(in + i * 8));
+  std::size_t n = data.size();
+  std::size_t pending = len_ & 7;
+  len_ += n;
+  // Top up the unfinished block from an earlier part first.
+  if (pending != 0) {
+    for (; pending < 8 && n > 0; ++pending, ++in, --n) {
+      tail_ |= static_cast<std::uint64_t>(*in) << (8 * pending);
+    }
+    if (pending < 8) return;
+    s_.absorb(tail_);
+    tail_ = 0;
   }
+  for (; n >= 8; n -= 8, in += 8) s_.absorb(detail::load_le64(in));
+  for (std::size_t i = 0; i < n; ++i) tail_ |= static_cast<std::uint64_t>(in[i]) << (8 * i);
+}
 
-  // Final block: remaining bytes plus the length in the top byte.
-  std::uint64_t last = static_cast<std::uint64_t>(len & 0xFF) << 56;
-  const std::size_t rem = len & 7;
-  const std::uint8_t* tail = in + full_blocks * 8;
-  for (std::size_t i = 0; i < rem; ++i) {
-    last |= static_cast<std::uint64_t>(tail[i]) << (8 * i);
-  }
-  s.absorb(last);
-  return s.finalize();
+void SipHasher::update(const void* data, std::size_t len) {
+  update(std::span<const std::byte>(static_cast<const std::byte*>(data), len));
+}
+
+std::uint64_t SipHasher::finish() {
+  // Final block: the remaining bytes plus the length in the top byte.
+  s_.absorb(tail_ | static_cast<std::uint64_t>(len_ & 0xFF) << 56);
+  return s_.finalize();
+}
+
+std::uint64_t siphash24(SipKey key, std::span<const std::byte> data) {
+  SipHasher h(key);
+  h.update(data);
+  return h.finish();
 }
 
 std::uint64_t siphash24(SipKey key, const void* data, std::size_t len) {

@@ -22,11 +22,19 @@ ControlGuard::ControlGuard(sim::Network& net, const crypto::KeyRegistry& keys,
 
 ControlVerdict ControlGuard::check_summary(const crypto::SignedEnvelope& env,
                                            std::optional<SegmentSummary>& out) const {
+  std::optional<SegmentSummaryView> view;
+  const ControlVerdict verdict = check_summary(env, view);
+  if (verdict == ControlVerdict::kOk) out = view->materialize();
+  return verdict;
+}
+
+ControlVerdict ControlGuard::check_summary(const crypto::SignedEnvelope& env,
+                                           std::optional<SegmentSummaryView>& out) const {
   if (!crypto::verify(keys_, env)) return ControlVerdict::kBadMac;
-  auto decoded = SegmentSummary::from_bytes(env.payload);
-  if (!decoded.has_value()) return ControlVerdict::kMalformed;
-  if (decoded->reporter != env.signer) return ControlVerdict::kSignerMismatch;
-  out = std::move(*decoded);
+  const auto view = SegmentSummaryView::parse(env.payload);
+  if (!view.has_value()) return ControlVerdict::kMalformed;
+  if (view->reporter != env.signer) return ControlVerdict::kSignerMismatch;
+  out = view;
   return ControlVerdict::kOk;
 }
 

@@ -66,6 +66,10 @@ class ControlGuard {
   /// convenience copy that rode alongside it.
   [[nodiscard]] ControlVerdict check_summary(const crypto::SignedEnvelope& env,
                                              std::optional<SegmentSummary>& out) const;
+  /// The same checks without the copy-out: `out` reads `env.payload` in
+  /// place, so it is valid while the envelope lives.
+  [[nodiscard]] ControlVerdict check_summary(const crypto::SignedEnvelope& env,
+                                             std::optional<SegmentSummaryView>& out) const;
   [[nodiscard]] ControlVerdict check_report(const crypto::SignedEnvelope& env,
                                             std::optional<ChiReport>& out) const;
   [[nodiscard]] ControlVerdict check_accusation(const crypto::SignedEnvelope& env,

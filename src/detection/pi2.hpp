@@ -19,6 +19,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "detection/flood.hpp"
@@ -90,34 +92,14 @@ class Pi2Engine : public RoundDriver {
   void evaluate(std::int64_t round);
   /// Full admission check for one arriving flood copy: MAC + canonical
   /// decode + signer identity (guard) and the anti-replay round window.
-  ControlVerdict vet(const sim::ControlPayload& payload, std::optional<SegmentSummary>& out,
+  /// `out` reads the copy's payload in place.
+  ControlVerdict vet(const sim::ControlPayload& payload, std::optional<SegmentSummaryView>& out,
                      std::int64_t* margin = nullptr) const;
   void on_invalid(util::NodeId at, util::NodeId prev, const sim::ControlPayload& payload);
   void on_delivery(util::NodeId at, const sim::ControlPayload& payload);
+  /// Index of the view's segment in segments_, or segments_.size().
+  [[nodiscard]] std::size_t segment_id(const SegmentSummaryView& view) const;
 
-  Pi2Config config_;
-  std::unique_ptr<ReliableChannel> channel_;  ///< null unless reliable.enabled
-  std::unique_ptr<FloodService> flood_;
-  std::vector<std::unique_ptr<SummaryGenerator>> generators_;  // per router id (may be null)
-  std::vector<routing::PathSegment> segments_;                 // all monitored segments
-  // segment index -> member routers; member -> position. Flat (sorted
-  // vector) containers: same iteration order as std::map, so the suspicion
-  // output stays byte-identical while round evaluation walks dense memory.
-  util::FlatMap<routing::PathSegment, std::size_t> segment_ids_;
-  // Per-round store, struct-of-arrays. The flood hands every router the
-  // same signed copy, so summary contents are NOT stored per receiver:
-  // variants_ dedups the distinct signed summaries per statement key
-  // (segment id, reporter, round) and received_ maps each (router, key) to
-  // a POD {variant index, poisoned} slot — the dense per-receiver array
-  // over shared out-of-line content. A slot whose router saw two different
-  // signed copies for one key is poisoned (the reporter equivocated).
-  static constexpr std::uint32_t kNoVariant = 0xFFFFFFFFu;
-  struct Slot {
-    std::uint32_t variant = kNoVariant;
-    bool poisoned = false;
-  };
-  util::FlatMap<std::tuple<util::NodeId, std::size_t, util::NodeId, std::int64_t>, Slot>
-      received_;
   /// One distinct signed summary: the canonical payload bytes (the
   /// equivocation compare), the counters, the content fingerprints in
   /// forwarding order, and a sorted copy built on first TV use and then
@@ -129,8 +111,39 @@ class Pi2Engine : public RoundDriver {
     std::vector<std::byte> payload;
     std::vector<validation::Fingerprint> sorted;
   };
-  util::FlatMap<std::tuple<std::size_t, util::NodeId, std::int64_t>, std::vector<Variant>>
-      variants_;
+  /// Which variant one router holds for one statement. A slot whose router
+  /// saw two different signed copies of the statement is poisoned (the
+  /// reporter equivocated).
+  static constexpr std::uint32_t kNoVariant = 0xFFFFFFFFu;
+  struct Slot {
+    std::uint32_t variant = kNoVariant;
+    bool poisoned = false;
+  };
+  /// One live round's stores. A statement is one reporter's summary of one
+  /// segment; member `pos` of segment `sid` reports statement
+  /// stmt_base_[sid] + pos. The flood hands every router the same signed
+  /// copy, so summary contents are NOT stored per receiver: `variants`
+  /// keeps the distinct signed summaries per statement, and `slots`, a
+  /// router-major node_count x statements table, records which one each
+  /// router holds. Arrivals are O(1) whatever their order. A reporter that
+  /// signs for a segment it is not on (only under attack) gets a statement
+  /// number past the dense ones and its slots live in `stray_slots`.
+  struct RoundStore {
+    std::vector<std::vector<Variant>> variants;  // by statement
+    std::vector<Slot> slots;
+    util::FlatMap<std::pair<std::size_t, util::NodeId>, std::uint32_t> stray_ids;
+    util::FlatMap<std::pair<util::NodeId, std::uint32_t>, Slot> stray_slots;
+    std::uint64_t received = 0;    ///< (router, statement) slots filled
+    std::uint64_t statements = 0;  ///< statements holding a variant
+  };
+
+  Pi2Config config_;
+  std::unique_ptr<ReliableChannel> channel_;  ///< null unless reliable.enabled
+  std::unique_ptr<FloodService> flood_;
+  std::vector<std::unique_ptr<SummaryGenerator>> generators_;  // per router id (may be null)
+  std::vector<routing::PathSegment> segments_;  // all monitored segments, sorted and unique
+  std::vector<std::uint32_t> stmt_base_;        // per segment id; dense statement count last
+  util::FlatMap<std::int64_t, RoundStore> rounds_;  // live rounds only
   util::FlatMap<util::NodeId, ReportMutator> mutators_;
   // Statements are (segment id, reporter, round).
   StatementLedger<std::tuple<std::size_t, util::NodeId, std::int64_t>> ledger_;

@@ -42,8 +42,13 @@ template <class Key>
 class StatementLedger {
  public:
   Statement offer(const Key& key, const crypto::SignedEnvelope& env) {
-    const auto [it, fresh] = first_.emplace(key, env);
-    if (fresh) return Statement::kFirst;
+    // Look up before inserting: every delivered copy is offered, and only
+    // the first may pay for copying the envelope.
+    const auto it = first_.find(key);
+    if (it == first_.end()) {
+      first_.emplace(key, env);
+      return Statement::kFirst;
+    }
     return it->second.payload == env.payload ? Statement::kCopy : Statement::kConflict;
   }
   [[nodiscard]] const crypto::SignedEnvelope& kept(const Key& key) const { return first_.at(key); }

@@ -73,12 +73,30 @@ Accusation sample_accusation() {
   return a;
 }
 
-/// Drives the three sweeps over one codec. Decode is allowed to succeed on
-/// a mutated input (the flipped byte may land in a counter value); the
-/// invariant is no crash, no unbounded allocation, and — when it does
-/// succeed — a self-consistent value that re-encodes and re-decodes.
+/// The in-place walker and from_bytes must agree on every input: accept
+/// exactly the same bytes, and read the same reporter, round and segment.
+void expect_walker_agrees(std::span<const std::byte> in) {
+  const auto full = SegmentSummary::from_bytes(in);
+  const auto view = SegmentSummaryView::parse(in);
+  ASSERT_EQ(view.has_value(), full.has_value()) << "input of " << in.size() << " bytes";
+  if (!full.has_value()) return;
+  EXPECT_EQ(view->reporter, full->reporter);
+  EXPECT_EQ(view->round, full->round);
+  std::vector<util::NodeId> nodes;
+  for (std::size_t i = 0; i < view->segment_length(); ++i) nodes.push_back(view->segment_node(i));
+  EXPECT_EQ(nodes, full->segment.nodes());
+}
+
+void no_extra_check(std::span<const std::byte> /*in*/) {}
+
+/// Drives the three sweeps over one codec, calling `also` on every input
+/// as well. Decode is allowed to succeed on a mutated input (the flipped
+/// byte may land in a counter value); the invariant is no crash, no
+/// unbounded allocation, and — when it does succeed — a self-consistent
+/// value that re-encodes and re-decodes.
 template <typename T, typename Decode>
-void sweep(const T& value, Decode decode) {
+void sweep(const T& value, Decode decode,
+           void (*also)(std::span<const std::byte>) = no_extra_check) {
   const std::vector<std::byte> wire = value.to_bytes();
   ASSERT_FALSE(wire.empty());
 
@@ -87,10 +105,12 @@ void sweep(const T& value, Decode decode) {
     const auto out = decode(std::span<const std::byte>{wire});
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->to_bytes(), wire);
+    also(wire);
   }
 
   // 1. Every truncation prefix, including empty.
   for (std::size_t len = 0; len < wire.size(); ++len) {
+    also(std::span<const std::byte>{wire.data(), len});
     const auto out = decode(std::span<const std::byte>{wire.data(), len});
     if (out.has_value()) {
       // A shorter valid encoding is possible only if it round-trips.
@@ -105,6 +125,7 @@ void sweep(const T& value, Decode decode) {
     for (std::size_t pos = 0; pos < mutated.size(); ++pos) {
       const std::byte saved = mutated[pos];
       mutated[pos] = poison;
+      also(mutated);
       const auto out = decode(std::span<const std::byte>{mutated});
       if (out.has_value()) {
         const std::vector<std::byte> re = out->to_bytes();
@@ -119,21 +140,24 @@ void sweep(const T& value, Decode decode) {
   for (std::size_t extra : {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
     std::vector<std::byte> padded = wire;
     padded.insert(padded.end(), extra, std::byte{0xA5});
+    also(padded);
     EXPECT_FALSE(decode(std::span<const std::byte>{padded}).has_value())
         << "trailing " << extra << " bytes accepted";
   }
 }
 
 TEST(MessageFuzz, SegmentSummarySurvivesMutationSweep) {
-  sweep(sample_summary(), [](std::span<const std::byte> in) {
-    return SegmentSummary::from_bytes(in);
-  });
+  sweep(
+      sample_summary(),
+      [](std::span<const std::byte> in) { return SegmentSummary::from_bytes(in); },
+      expect_walker_agrees);
 }
 
 TEST(MessageFuzz, ReconciledSummarySurvivesMutationSweep) {
-  sweep(sample_recon_summary(), [](std::span<const std::byte> in) {
-    return SegmentSummary::from_bytes(in);
-  });
+  sweep(
+      sample_recon_summary(),
+      [](std::span<const std::byte> in) { return SegmentSummary::from_bytes(in); },
+      expect_walker_agrees);
 }
 
 TEST(MessageFuzz, ChiReportSurvivesMutationSweep) {
@@ -168,6 +192,14 @@ TEST(MessageFuzz, ClaimedHugeCountsNeverAllocate) {
     forged[diverge + i] = std::byte{0xFF};
   }
   EXPECT_FALSE(SegmentSummary::from_bytes(forged).has_value());
+  EXPECT_FALSE(SegmentSummaryView::parse(forged).has_value());
+
+  // The segment length is the first count on the wire, right after the
+  // 4-byte reporter.
+  std::vector<std::byte> long_segment = a;
+  for (std::size_t i = 4; i < 8; ++i) long_segment[i] = std::byte{0xFF};
+  EXPECT_FALSE(SegmentSummary::from_bytes(long_segment).has_value());
+  EXPECT_FALSE(SegmentSummaryView::parse(long_segment).has_value());
 }
 
 }  // namespace
