@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -84,7 +85,9 @@ class FloodService {
   InvalidFn invalid_fn_;
   ReliableChannel* channel_ = nullptr;
   std::set<util::NodeId> suppressed_;
-  std::vector<std::set<std::uint64_t>> seen_;  // per node
+  // Per node: the keys already delivered there. Membership only, never
+  // iterated, so a hash set keeps the per-copy check O(1).
+  std::vector<std::unordered_set<std::uint64_t>> seen_;
   std::uint64_t copies_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
 };
