@@ -315,8 +315,9 @@ Router::Router(Simulator& sim, util::NodeId id, std::string name, std::uint64_t 
     : Node(sim, id, std::move(name)), rng_(jitter_seed) {}
 
 void Router::set_route(util::NodeId dst, std::size_t out_iface) {
-  assert(out_iface < interfaces_.size());
-  routes_[dst] = out_iface;
+  assert(out_iface < interfaces_.size() && dst != util::kInvalidNode);
+  if (dst >= routes_.size()) routes_.resize(std::size_t{dst} + 1, kNoRoute);
+  routes_[dst] = static_cast<std::uint32_t>(out_iface);
 }
 
 void Router::set_policy_route(util::NodeId prev, util::NodeId dst, std::size_t out_iface) {
@@ -338,7 +339,7 @@ std::optional<std::size_t> Router::lookup(util::NodeId prev, util::NodeId dst) c
     if (it->second == kDropRouteSentinel) return std::nullopt;
     return it->second;
   }
-  if (auto it = routes_.find(dst); it != routes_.end()) return it->second;
+  if (dst < routes_.size() && routes_[dst] != kNoRoute) return routes_[dst];
   return std::nullopt;
 }
 

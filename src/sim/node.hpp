@@ -346,11 +346,14 @@ class Router final : public Node {
   }
 
   static constexpr std::size_t kDropRouteSentinel = static_cast<std::size_t>(-1);
+  static constexpr std::uint32_t kNoRoute = static_cast<std::uint32_t>(-1);
 
-  // Sorted flat maps, not hash maps: route lookups binary-search a
-  // cache-dense array, and any future walk over the tables is in key order
-  // (fatih-lint: no-unordered-iteration keeps it that way).
-  util::FlatMap<util::NodeId, std::size_t> routes_;
+  // The forwarding table is indexed by destination id (ids are dense), one
+  // output interface or kNoRoute per entry, so a hop's lookup is a bounds
+  // check and a load. Policy routes are few and installed only by the
+  // response mechanism; they stay a sorted flat map, so any walk over them
+  // is in key order (fatih-lint: no-unordered-iteration keeps it that way).
+  std::vector<std::uint32_t> routes_;
   util::FlatMap<std::uint64_t, std::size_t> policy_routes_;
   util::Duration proc_base_ = util::Duration::micros(20);
   util::Duration proc_jitter_{};

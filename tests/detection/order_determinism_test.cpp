@@ -1,6 +1,7 @@
 // Container-order determinism regression for the structures migrated off
 // unordered_* (fatih-lint R3): SegmentIndex (std::set builds its sorted
-// segment universe), Router route tables (util::FlatMap), and PathCache
+// segment universe), Router route tables (a dense forwarding table plus
+// a util::FlatMap of policy routes), and PathCache
 // (std::map memo with reference stability). Each test runs the same
 // computation twice — or with permuted inputs — and requires identical
 // observable output, the property hash-ordered iteration silently breaks.
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "detection/path_cache.hpp"
@@ -69,7 +71,8 @@ TEST(OrderDeterminism, RouterRoutesAreInsertionOrderInvariant) {
     net.connect(rev.id(), peer.id(), {});
   }
 
-  // Same table, installed in opposite orders (FlatMap keeps both sorted).
+  // Same table, installed in opposite orders: ascending ids grow the dense
+  // forwarding table one entry at a time, descending ids size it at once.
   for (NodeId dst = 0; dst < 20; ++dst) fwd.set_route(dst, dst % 3);
   for (NodeId dst = 20; dst-- > 0;) rev.set_route(dst, dst % 3);
   for (NodeId prev = 0; prev < 5; ++prev) {
@@ -81,6 +84,30 @@ TEST(OrderDeterminism, RouterRoutesAreInsertionOrderInvariant) {
     for (NodeId dst = 0; dst < 21; ++dst) {
       EXPECT_EQ(fwd.lookup(prev, dst), rev.lookup(prev, dst))
           << "lookup(" << prev << ", " << dst << ") diverges";
+    }
+  }
+
+  // Agreement alone would pass two equally wrong tables; pin the answers,
+  // including the ids the dense table holds no route for.
+  using Out = std::optional<std::size_t>;
+  for (sim::Router* r : {&fwd, &rev}) {
+    EXPECT_EQ(r->lookup(9, 7), Out{1});  // default route, 7 % 3
+    EXPECT_EQ(r->lookup(0, 1), Out{2});  // the policy route wins over 1 % 3
+    r->set_route(30, 1);
+    EXPECT_EQ(r->lookup(9, 25), std::nullopt);  // between routed ids 19 and 30
+    EXPECT_EQ(r->lookup(9, 30), Out{1});
+    EXPECT_EQ(r->lookup(9, 31), std::nullopt);  // past the largest routed id
+    EXPECT_EQ(r->lookup(9, 1000), std::nullopt);
+    r->set_route(30, 2);  // a second route to the same destination wins
+    EXPECT_EQ(r->lookup(9, 30), Out{2});
+    r->set_policy_drop(9, 4);  // suppresses the default route for prev 9 only
+    EXPECT_EQ(r->lookup(9, 4), std::nullopt);
+    EXPECT_EQ(r->lookup(8, 4), Out{1});
+    r->clear_routes();  // empties the default and the policy table
+    for (NodeId prev : {0U, 9U}) {
+      for (NodeId dst = 0; dst < 32; ++dst) {
+        EXPECT_EQ(r->lookup(prev, dst), std::nullopt) << "lookup(" << prev << ", " << dst << ")";
+      }
     }
   }
 }
