@@ -291,7 +291,7 @@ void QueueValidator::validate(std::int64_t round) {
     // occupancy prediction. Churn also drops already-staged replay events.
     stats.alarmed = !stats.invalidated;
     std::erase_if(pending_entries_, [&](const Entry& e) { return e.rec.ts <= horizon; });
-    exits_.erase_if([&](const auto& kv) { return kv.second.ts <= horizon; });
+    std::erase_if(exits_, [&](const auto& kv) { return kv.second.ts <= horizon; });
     while (stats.invalidated && events_head_ < events_.size() &&
            events_[events_head_].ts <= horizon) {
       ++events_head_;
@@ -390,7 +390,7 @@ void QueueValidator::stage_ready_entries(util::SimTime upto, RoundStats& stats) 
   }
   // Departures whose arrival no neighbor claimed would linger forever;
   // age them out (with honest reporters this set stays empty).
-  exits_.erase_if([&](const auto& kv) { return kv.second.ts + config_.grace <= upto; });
+  std::erase_if(exits_, [&](const auto& kv) { return kv.second.ts + config_.grace <= upto; });
 }
 
 void QueueValidator::calibrate(validation::Fingerprint fp) {

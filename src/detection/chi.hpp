@@ -31,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "crypto/keys.hpp"
@@ -188,15 +189,20 @@ class QueueValidator : public RoundDriver {
   std::optional<sim::RedParams> red_;  ///< set when Q is a RED queue
 
   // Staging at the neighbors (per neighbor, per round) before shipping.
-  // Accounting stores are flat sorted-vector containers (util/flat_map.hpp):
-  // std::map iteration order — determinism is load-bearing — with dense
-  // lookups.
+  // The per-round accounting stores are flat sorted-vector containers
+  // (util/flat_map.hpp): std::map iteration order — determinism is
+  // load-bearing — with dense lookups. The two fingerprint-keyed stores,
+  // exits_ and qact_probe_, are hash maps instead (see there).
   util::FlatMap<std::pair<util::NodeId, std::int64_t>, std::vector<ChiRecord>> neighbor_staged_;
   // Arrived reports, merged; all entries not yet replayed, time-ordered.
   std::vector<Entry> pending_entries_;
-  // Exits observed locally at rd: fp -> record (consumed by replay).
-  util::FlatMap<validation::Fingerprint, ChiRecord> exits_;
-  std::vector<ChiRecord> exit_log_;  // time-ordered, not yet replayed
+  // Exits observed locally at rd: fp -> record (consumed by replay). Keys
+  // are random fingerprints arriving per packet, thousands per round. Only
+  // inserted, probed, erased by key and aged with std::erase_if under a
+  // pure predicate, never iterated, so a hash map keeps each O(1) and no
+  // order reaches any output. emplace keeps a repeated fingerprint's first
+  // record.
+  std::unordered_map<validation::Fingerprint, ChiRecord> exits_;
   // Which neighbors owe a report for each round.
   util::FlatMap<std::int64_t, util::FlatSet<util::NodeId>> reports_due_;
   util::FlatSet<std::pair<util::NodeId, std::int64_t>> reports_seen_;  // all parts arrived
@@ -256,7 +262,10 @@ class QueueValidator : public RoundDriver {
   sim::RedState red_state_;
 
   // Learning.
-  util::FlatMap<validation::Fingerprint, double> qact_probe_;  // fp -> qact at entry
+  // fp -> qact at entry. Same access pattern as exits_ (insert, probe,
+  // erase by key, clear; never iterated), so a hash map; a repeated
+  // fingerprint overwrites.
+  std::unordered_map<validation::Fingerprint, double> qact_probe_;
   util::RunningStats error_stats_;
   std::function<void(double)> error_sample_hook_;
   bool learned_ = false;
