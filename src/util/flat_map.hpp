@@ -1,8 +1,8 @@
 // Sorted-vector flat map/set.
 //
 // Drop-in replacements for the std::map / std::set subset the per-round
-// accounting structures use (Πk+2 own/peer stores, Protocol χ queue
-// records, summary buckets, the equivocation ledgers). Keys live
+// accounting structures use (Πk+2 own/peer stores, Protocol χ report
+// bookkeeping, summary buckets, the equivocation ledgers). Keys live
 // contiguously in one sorted vector: lookups binary-search a cache-dense
 // array instead of chasing red-black tree nodes, and iteration is a linear
 // scan in strictly increasing key order — the SAME order std::map yields,
@@ -14,7 +14,9 @@
 // entries; there contiguity wins over asymptotics. A store filled in
 // arrival order with thousands of entries per round is the
 // counterexample: Π2's per-router statement slots (~17k per round on
-// generated Sprintlink) live in a dense table instead (detection/pi2.hpp).
+// generated Sprintlink) live in a dense table instead (detection/pi2.hpp),
+// and χ's exit and calibration stores, keyed by random packet
+// fingerprints and never iterated, are hash maps (detection/chi.hpp).
 // Not a general replacement: iterators invalidate on insert and erase,
 // like a vector's.
 #pragma once
