@@ -28,16 +28,6 @@ std::string PathSegment::to_string() const {
   return out;
 }
 
-std::size_t PathSegmentHash::operator()(const PathSegment& s) const {
-  // FNV-1a over the node ids.
-  std::size_t h = 1469598103934665603ULL;
-  for (util::NodeId n : s.nodes()) {
-    h ^= n;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::vector<PathSegment> windows(const Path& path, std::size_t x) {
   std::vector<PathSegment> out;
   if (x == 0 || path.size() < x) return out;

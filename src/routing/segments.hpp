@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,7 @@ namespace fatih::routing {
 /// An ordered sequence of adjacent routers.
 using Path = std::vector<util::NodeId>;
 
-/// A path-segment: value type with set semantics (hashable, ordered).
+/// A path-segment: value type with set semantics (ordered).
 class PathSegment {
  public:
   PathSegment() = default;
@@ -45,10 +44,6 @@ class PathSegment {
 
  private:
   std::vector<util::NodeId> nodes_;
-};
-
-struct PathSegmentHash {
-  [[nodiscard]] std::size_t operator()(const PathSegment& s) const;
 };
 
 /// Extracts every contiguous window of exactly `x` nodes from `path`.

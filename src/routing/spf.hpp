@@ -18,6 +18,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "routing/graph.hpp"

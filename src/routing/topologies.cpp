@@ -1,12 +1,5 @@
 #include "routing/topologies.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <set>
-
-#include "util/rng.hpp"
-
 namespace fatih::routing {
 
 const std::vector<AbileneLink>& abilene_links() {
@@ -41,144 +34,9 @@ Topology abilene_topology() {
   return t;
 }
 
-IspProfile sprintlink_profile() { return IspProfile{315, 972, 45, "Sprintlink-like"}; }
-
-IspProfile ebone_profile() { return IspProfile{87, 161, 11, "EBONE-like"}; }
-
-Topology synthetic_isp(const IspProfile& profile, std::uint64_t seed) {
-  assert(profile.routers >= 8);
-  util::Rng rng(seed);
+Topology generated_topology(const topo::GeneratedTopology& g) {
   Topology t;
-  t.ensure_node(static_cast<util::NodeId>(profile.routers - 1));
-
-  std::set<std::pair<util::NodeId, util::NodeId>> links;
-  std::vector<std::size_t> degree(profile.routers, 0);
-
-  auto add_link = [&](util::NodeId a, util::NodeId b) {
-    if (a == b) return false;
-    const auto key = std::minmax(a, b);
-    if (links.contains({key.first, key.second})) return false;
-    if (degree[a] >= profile.max_degree || degree[b] >= profile.max_degree) return false;
-    links.insert({key.first, key.second});
-    ++degree[a];
-    ++degree[b];
-    return true;
-  };
-
-  // Two-level ISP structure (Rocketfuel-like): a backbone ring of B
-  // routers with a few chords, and per-backbone regions grown as trees
-  // with hub-biased attachment. This yields the long paths (and hence the
-  // |Pr| growth through k ~ 8) that measured ISP maps exhibit, unlike
-  // low-diameter pure preferential-attachment graphs.
-  const std::size_t n = profile.routers;
-  const auto backbone = static_cast<util::NodeId>(std::max<std::size_t>(6, n / 12));
-
-  for (util::NodeId b = 0; b < backbone; ++b) {
-    add_link(b, static_cast<util::NodeId>((b + 1) % backbone));
-  }
-  for (util::NodeId i = 0; i + 8 < backbone; i += 8) {
-    // Sparse chords keep the backbone redundant without collapsing its
-    // diameter (the long-path tail drives Fig. 5.2's growth at large k).
-    add_link(i, static_cast<util::NodeId>((i + backbone / 3) % backbone));
-  }
-
-  // Grow regions: each non-backbone router joins a region chosen
-  // preferentially (big regions grow bigger, giving a heavy-tailed hub
-  // degree), attaching either to the region's backbone root (hub bias) or
-  // to a random member (tree depth).
-  std::vector<std::vector<util::NodeId>> region_members(backbone);
-  for (util::NodeId b = 0; b < backbone; ++b) region_members[b] = {b};
-  std::vector<util::NodeId> membership;  // one entry per member, for preferential pick
-  for (util::NodeId b = 0; b < backbone; ++b) membership.push_back(b);
-
-  // Reserve a fraction of routers for access chains (the degree-1/2
-  // strings measured maps show at the network edge); the rest grow the
-  // regional trees.
-  const auto chain_nodes = static_cast<util::NodeId>(n / 4);
-  const auto tree_end = static_cast<util::NodeId>(n - chain_nodes);
-  for (util::NodeId node = backbone; node < tree_end; ++node) {
-    const util::NodeId via = membership[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(membership.size()) - 1))];
-    const util::NodeId region =
-        via < backbone ? via : [&] {
-          for (util::NodeId b = 0; b < backbone; ++b) {
-            for (util::NodeId m : region_members[b]) {
-              if (m == via) return b;
-            }
-          }
-          return util::NodeId{0};
-        }();
-    // Attachment within the region: small regions hang off their root
-    // (hub-and-spoke); as a region grows, new routers increasingly chain
-    // off recent members, deepening the tree the way access networks
-    // extend — this is what gives measured ISP maps their long paths.
-    const auto& members = region_members[region];
-    const double root_prob = std::min(0.6, 3.0 / std::sqrt(static_cast<double>(members.size())));
-    util::NodeId attach_to;
-    if (rng.bernoulli(root_prob) && degree[region] < profile.max_degree - 1) {
-      attach_to = region;  // the backbone root
-    } else if (rng.bernoulli(0.5)) {
-      attach_to = members.back();  // extend the newest branch
-    } else {
-      attach_to = members[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(members.size()) - 1))];
-    }
-    if (!add_link(node, attach_to)) {
-      // Degree-capped: fall back to any member with spare degree.
-      for (util::NodeId m : region_members[region]) {
-        if (add_link(node, m)) {
-          attach_to = m;
-          break;
-        }
-      }
-    }
-    region_members[region].push_back(node);
-    membership.push_back(node);
-  }
-
-  // Access chains: strings of 2-5 routers hanging off random tree members.
-  {
-    util::NodeId node = tree_end;
-    while (node < n) {
-      util::NodeId anchor = membership[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(membership.size()) - 1))];
-      const auto len = static_cast<util::NodeId>(rng.uniform_int(2, 5));
-      for (util::NodeId i = 0; i < len && node < n; ++i, ++node) {
-        if (!add_link(node, anchor)) {
-          break;
-        }
-        anchor = node;
-      }
-    }
-  }
-
-  // Extra links to reach the target count: mostly intra-region redundancy,
-  // occasionally an inter-region shortcut.
-  int stall = 0;
-  while (links.size() < profile.links && stall < 200000) {
-    bool added = false;
-    if (rng.bernoulli(0.8)) {
-      const auto region = static_cast<util::NodeId>(
-          rng.uniform_int(0, static_cast<std::int64_t>(backbone) - 1));
-      const auto& members = region_members[region];
-      if (members.size() >= 2) {
-        const auto a = members[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(members.size()) - 1))];
-        const auto b = members[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(members.size()) - 1))];
-        added = add_link(a, b);
-      }
-    } else {
-      const auto a =
-          static_cast<util::NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      const auto b =
-          static_cast<util::NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      added = add_link(a, b);
-    }
-    stall = added ? 0 : stall + 1;
-  }
-
-  for (const auto& [a, b] : links) t.add_duplex(a, b, 1);
+  for (const topo::GenLink& l : g.links) t.add_duplex(l.a, l.b, l.metric());
   return t;
 }
 

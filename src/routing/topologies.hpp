@@ -3,12 +3,11 @@
 //  * Abilene (Fig. 5.6): the 11-PoP Internet2 backbone, with link delays
 //    chosen so that the two coast-to-coast paths used in the Fatih
 //    experiment have one-way latencies of 25 ms and 28 ms (Fig. 5.7).
-//  * Rocketfuel-like ISP graphs (Fig. 5.2/5.4): synthetic graphs matched
-//    to the published statistics of the measured Sprintlink (315 routers,
-//    972 links, mean degree 6.17, max degree 45) and EBONE (87 routers,
-//    161 links, mean degree 3.70, max degree 11) maps. The real maps are
-//    not redistributable; a degree-matched synthetic graph preserves the
-//    path-segment structure the figures depend on.
+//  * Rocketfuel-like ISP graphs (Fig. 5.2/5.4): the seeded generator in
+//    src/topo (presets topo::sprintlink() and topo::ebone()), converted
+//    here into a routing topology. The real maps are not redistributable;
+//    a generated graph of the same size and degree statistics preserves
+//    the path-segment structure the figures depend on.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "routing/graph.hpp"
+#include "topo/generator.hpp"
 
 namespace fatih::routing {
 
@@ -51,19 +51,8 @@ struct AbileneLink {
 /// Abilene as a metric-weighted topology (metric = delay in ms).
 [[nodiscard]] Topology abilene_topology();
 
-/// Parameters of a synthetic ISP graph.
-struct IspProfile {
-  std::size_t routers;
-  std::size_t links;        ///< undirected link count target
-  std::size_t max_degree;   ///< cap on any router's degree
-  std::string name;
-};
-
-[[nodiscard]] IspProfile sprintlink_profile();
-[[nodiscard]] IspProfile ebone_profile();
-
-/// Generates a connected preferential-attachment graph matched to the
-/// profile (unit metrics). Deterministic in `seed`.
-[[nodiscard]] Topology synthetic_isp(const IspProfile& profile, std::uint64_t seed);
+/// A generated ISP graph as a routing topology, each duplex link weighted
+/// by GenLink::metric().
+[[nodiscard]] Topology generated_topology(const topo::GeneratedTopology& g);
 
 }  // namespace fatih::routing

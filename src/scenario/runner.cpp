@@ -238,9 +238,7 @@ struct ScenarioRun::Impl {
           cfg.queue_limit_bytes = g.params.queue_limit_bytes;
           cfg.delay = Duration::nanos(l.inter ? g.params.inter_delay_ns
                                               : g.params.intra_delay_ns);
-          // Backbone links cost more so shortest paths hug the PoP
-          // structure (climb to the local core, cross, descend).
-          cfg.metric = l.inter ? 10 : 1;
+          cfg.metric = l.metric();
           net.connect(l.a, l.b, cfg);
         }
         finish_routes(Duration::micros(20), Duration::micros(10));

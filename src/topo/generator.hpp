@@ -53,6 +53,10 @@ struct GenLink {
   util::NodeId a;
   util::NodeId b;
   bool inter;
+
+  /// Routing metric. Backbone links cost more so shortest paths hug the
+  /// PoP structure (climb to the local core, cross, descend).
+  [[nodiscard]] std::uint32_t metric() const { return inter ? 10 : 1; }
 };
 
 /// The generated graph plus the designated structure the scenario layer

@@ -1,48 +1,9 @@
 #include "validation/summary.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace fatih::validation {
-
-void FingerprintSummary::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(fps_.begin(), fps_.end());
-    sorted_ = true;
-  }
-}
-
-std::vector<Fingerprint> FingerprintSummary::difference(const FingerprintSummary& other) const {
-  ensure_sorted();
-  other.ensure_sorted();
-  std::vector<Fingerprint> out;
-  std::set_difference(fps_.begin(), fps_.end(), other.fps_.begin(), other.fps_.end(),
-                      std::back_inserter(out));
-  return out;
-}
-
-std::size_t FingerprintSummary::symmetric_difference_size(const FingerprintSummary& a,
-                                                          const FingerprintSummary& b) {
-  a.ensure_sorted();
-  b.ensure_sorted();
-  std::size_t count = 0;
-  auto ia = a.fps_.begin();
-  auto ib = b.fps_.begin();
-  while (ia != a.fps_.end() && ib != b.fps_.end()) {
-    if (*ia < *ib) {
-      ++count;
-      ++ia;
-    } else if (*ib < *ia) {
-      ++count;
-      ++ib;
-    } else {
-      ++ia;
-      ++ib;
-    }
-  }
-  count += static_cast<std::size_t>(a.fps_.end() - ia);
-  count += static_cast<std::size_t>(b.fps_.end() - ib);
-  return count;
-}
 
 std::size_t multiset_difference_size(std::span<const Fingerprint> sorted_a,
                                      std::span<const Fingerprint> sorted_b) {

@@ -1,24 +1,24 @@
 // Traffic summaries: the info(r, pi, tau) objects of the specification
-// (dissertation §4.2.1), one representation per conservation-of-traffic
-// policy (§2.4.1):
+// (dissertation §4.2.1), compared under the conservation-of-traffic
+// policies (§2.4.1):
 //
-//   * CounterSummary       — conservation of flow (WATCHERS-style counters)
-//   * FingerprintSummary   — conservation of content (multiset of
-//                            fingerprints; detects loss, modification,
-//                            fabrication, misrouting)
-//   * OrderedSummary       — conservation of order (fingerprints in
-//                            forwarding order; reorder metric |S| - |LCS|,
-//                            §2.2.1 following Piratla et al.)
-//   * TimedSummary         — conservation of timeliness, and the
-//                            timestamped stream Protocol chi replays
-//                            (§6.2.1: fingerprint, size, entry/exit time)
+//   * CounterSummary            — conservation of flow (WATCHERS-style
+//                                 counters)
+//   * multiset_difference_size  — conservation of content: lost and
+//                                 fabricated fingerprints between two
+//                                 sorted multisets
+//   * reorder_count             — conservation of order: |S| - |LCS| over
+//                                 fingerprints in forwarding order
+//                                 (§2.2.1, following Piratla et al.)
+//
+// The fingerprint streams travel in detection::SegmentSummary and TV
+// (detection/tv.cpp) runs the two functions straight over them; Protocol
+// chi's timestamped stream is detection::ChiRecord (detection/messages.hpp).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "util/time.hpp"
 #include "validation/fingerprint.hpp"
 
 namespace fatih::validation {
@@ -32,7 +32,7 @@ namespace fatih::validation {
 /// Reordering metric between a sent stream S and received stream F
 /// (§2.2.1): drop from both streams everything lost/fabricated/modified,
 /// then return |S'| - |LCS(S', F')|. 0 means order preserved. Streams are
-/// in forwarding order; span-based core of OrderedSummary::reorder_count.
+/// in forwarding order.
 [[nodiscard]] std::size_t reorder_count(std::span<const Fingerprint> sent,
                                         std::span<const Fingerprint> received);
 
@@ -47,60 +47,5 @@ struct CounterSummary {
   }
   bool operator==(const CounterSummary&) const = default;
 };
-
-/// Conservation-of-content summary: multiset of packet fingerprints.
-class FingerprintSummary {
- public:
-  void add(Fingerprint fp) {
-    fps_.push_back(fp);
-    sorted_ = false;
-  }
-
-  [[nodiscard]] std::size_t size() const { return fps_.size(); }
-  [[nodiscard]] const std::vector<Fingerprint>& fingerprints() const { return fps_; }
-
-  /// Multiset A \ B: fingerprints present here but not in `other`
-  /// (respecting multiplicity). Both summaries are sorted lazily.
-  [[nodiscard]] std::vector<Fingerprint> difference(const FingerprintSummary& other) const;
-
-  /// |A \ B| + |B \ A|.
-  [[nodiscard]] static std::size_t symmetric_difference_size(const FingerprintSummary& a,
-                                                             const FingerprintSummary& b);
-
- private:
-  void ensure_sorted() const;
-  mutable std::vector<Fingerprint> fps_;
-  mutable bool sorted_ = true;
-};
-
-/// Conservation-of-order summary: fingerprints in forwarding order.
-class OrderedSummary {
- public:
-  void add(Fingerprint fp) { fps_.push_back(fp); }
-  [[nodiscard]] std::size_t size() const { return fps_.size(); }
-  [[nodiscard]] const std::vector<Fingerprint>& sequence() const { return fps_; }
-
-  /// Reordering metric between this summary (sent) and `received`; see the
-  /// free-function reorder_count above, which this delegates to.
-  [[nodiscard]] static std::size_t reorder_count(const OrderedSummary& sent,
-                                                 const OrderedSummary& received) {
-    return validation::reorder_count(sent.fps_, received.fps_);
-  }
-
- private:
-  std::vector<Fingerprint> fps_;
-};
-
-/// One record of the timestamped stream used by Protocol chi.
-struct TimedRecord {
-  Fingerprint fp = 0;
-  std::uint32_t size_bytes = 0;
-  util::SimTime ts;  ///< predicted queue-entry time or observed exit time
-
-  bool operator==(const TimedRecord&) const = default;
-};
-
-/// Conservation-of-timeliness / queue-replay summary.
-using TimedSummary = std::vector<TimedRecord>;
 
 }  // namespace fatih::validation

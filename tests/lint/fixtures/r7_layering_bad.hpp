@@ -1,5 +1,5 @@
-// Fixture: R7 layering violation — linted under a virtual src/sim/ path,
-// where including detection/ headers inverts the module DAG.
+// Fixture: R7 layering violation — linted under virtual src/sim/ and
+// src/topo/ paths, where including detection/ headers inverts the DAG.
 #pragma once
 #include "detection/chi.hpp"
 

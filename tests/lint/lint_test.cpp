@@ -256,13 +256,15 @@ TEST(R7IncludeGraph, DetectsTwoFileCycle) {
 }
 
 TEST(R7IncludeGraph, FlagsLayeringInversion) {
-  // sim/ sits below detection/ in the module DAG, so a sim/ header must
-  // not include detection/.
-  const Report r = lint_fixture("r7_layering_bad.hpp", "src/sim/r7_layering_bad.hpp");
-  ASSERT_EQ(r.diagnostics.size(), 1u) << to_text(r);
-  EXPECT_EQ(r.diagnostics[0].rule, Rule::kNoIncludeCycles);
-  EXPECT_EQ(r.diagnostics[0].line, 4u);
-  EXPECT_NE(r.diagnostics[0].message.find("layering violation"), std::string::npos);
+  // sim/ and topo/ sit below detection/ in the module DAG, so their
+  // headers must not include detection/.
+  for (const char* path : {"src/sim/r7_layering_bad.hpp", "src/topo/r7_layering_bad.hpp"}) {
+    const Report r = lint_fixture("r7_layering_bad.hpp", path);
+    ASSERT_EQ(r.diagnostics.size(), 1u) << path << "\n" << to_text(r);
+    EXPECT_EQ(r.diagnostics[0].rule, Rule::kNoIncludeCycles);
+    EXPECT_EQ(r.diagnostics[0].line, 4u);
+    EXPECT_NE(r.diagnostics[0].message.find("layering violation"), std::string::npos);
+  }
 }
 
 TEST(R7IncludeGraph, AllowsDagRespectingIncludes) {

@@ -89,7 +89,8 @@ TEST(DisjointPaths, AbileneCoastToCoast) {
 
 TEST(DisjointPaths, PropertyMengerOnRandomGraphs) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const Topology t = synthetic_isp(IspProfile{40, 90, 10, "test"}, seed);
+    const Topology t = generated_topology(
+        topo::generate({.routers = 40, .links = 90, .pops = 5, .max_degree = 10, .seed = seed}));
     for (util::NodeId s = 0; s < 40; s += 9) {
       for (util::NodeId d = 3; d < 40; d += 11) {
         if (s == d) continue;

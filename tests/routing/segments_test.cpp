@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
+
+#include "routing/spf.hpp"
+#include "routing/topologies.hpp"
 
 namespace fatih::routing {
 namespace {
@@ -29,12 +33,6 @@ TEST(PathSegment, WithinRequiresContiguity) {
   EXPECT_FALSE((PathSegment{0, 2}).within(path));
   EXPECT_TRUE((PathSegment{0, 1, 2, 3}).within(path));
   EXPECT_FALSE((PathSegment{1, 0}).within(path));  // direction matters
-}
-
-TEST(PathSegment, HashStableAndDiscriminating) {
-  const PathSegmentHash h;
-  EXPECT_EQ(h(PathSegment{1, 2, 3}), h(PathSegment{1, 2, 3}));
-  EXPECT_NE(h(PathSegment{1, 2, 3}), h(PathSegment{3, 2, 1}));
 }
 
 TEST(Windows, EnumeratesAll) {
@@ -104,6 +102,25 @@ TEST(SegmentIndex, Pik2SubsetSizesGrowWithK) {
   const SegmentIndex k1(paths, 1);
   const SegmentIndex k3(paths, 3);
   EXPECT_LT(k1.all_pik2_segments().size(), k3.all_pik2_segments().size());
+}
+
+TEST(SegmentIndex, Pik2PlateauOnGeneratedEbone) {
+  // Fig. 5.4 flattens once k+2 spans the longest used path: then router r
+  // starts exactly one Pi(k+2) segment per router it does not reach
+  // directly (its path to each of them) and ends one per such router, so
+  // |Pr| = 2(N - 1 - deg r).
+  const Topology t = generated_topology(topo::generate(topo::ebone()));
+  std::vector<util::NodeId> terminals(t.node_count());
+  std::iota(terminals.begin(), terminals.end(), util::NodeId{0});
+  const SegmentIndex index(RoutingTables(t).all_paths(terminals), 8);
+  std::vector<std::size_t> ends(t.node_count(), 0);
+  for (const PathSegment& seg : index.all_pik2_segments()) {
+    ++ends[seg.front()];
+    ++ends[seg.back()];
+  }
+  for (util::NodeId r = 0; r < t.node_count(); ++r) {
+    EXPECT_EQ(ends[r], 2 * (t.node_count() - 1 - t.degree(r))) << "router " << r;
+  }
 }
 
 }  // namespace

@@ -60,7 +60,8 @@ TEST(Spf, SubpathConsistencyOnRandomGraphs) {
   // chosen path of its own source — the property that makes segments
   // meaningful for monitoring.
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const Topology t = synthetic_isp(IspProfile{40, 80, 10, "test"}, seed);
+    const Topology t = generated_topology(
+        topo::generate({.routers = 40, .links = 80, .pops = 5, .max_degree = 10, .seed = seed}));
     const RoutingTables tables(t);
     for (util::NodeId s = 0; s < 40; s += 7) {
       for (util::NodeId d = 0; d < 40; d += 5) {
@@ -156,7 +157,8 @@ TEST(PolicyRoutes, LongBanDecomposesToTriples) {
 TEST(PolicyRoutes, PropertyBannedTriplesNeverAppear) {
   util::Rng rng(99);
   for (int trial = 0; trial < 10; ++trial) {
-    const Topology t = synthetic_isp(IspProfile{25, 60, 8, "test"}, 100 + trial);
+    const Topology t = generated_topology(topo::generate(
+        {.routers = 25, .links = 60, .pops = 3, .max_degree = 8, .seed = 100U + trial}));
     // Pick a random adjacent triple to ban.
     std::vector<PathSegment> bans;
     for (util::NodeId b = 0; b < 25 && bans.empty(); ++b) {

@@ -58,54 +58,5 @@ TEST(Abilene, NamesResolve) {
   EXPECT_EQ(abilene_name(kNewYork), "NewYork");
 }
 
-TEST(SyntheticIsp, MatchesSprintlinkProfile) {
-  const auto profile = sprintlink_profile();
-  const Topology t = synthetic_isp(profile, 42);
-  EXPECT_EQ(t.node_count(), profile.routers);
-  // Link count within 2% of the published 972.
-  EXPECT_NEAR(static_cast<double>(t.edge_count()) / 2.0, static_cast<double>(profile.links),
-              0.02 * static_cast<double>(profile.links));
-  std::size_t max_deg = 0;
-  for (util::NodeId n = 0; n < t.node_count(); ++n) max_deg = std::max(max_deg, t.degree(n));
-  EXPECT_LE(max_deg, profile.max_degree);
-  EXPECT_GE(max_deg, profile.max_degree / 3);  // hubs exist
-  EXPECT_EQ(connected_component_size(t), profile.routers);
-}
-
-TEST(SyntheticIsp, MatchesEboneProfile) {
-  const auto profile = ebone_profile();
-  const Topology t = synthetic_isp(profile, 42);
-  EXPECT_EQ(t.node_count(), profile.routers);
-  EXPECT_NEAR(static_cast<double>(t.edge_count()) / 2.0, static_cast<double>(profile.links),
-              0.05 * static_cast<double>(profile.links));
-  EXPECT_EQ(connected_component_size(t), profile.routers);
-}
-
-TEST(SyntheticIsp, DeterministicPerSeed) {
-  const auto profile = ebone_profile();
-  const Topology a = synthetic_isp(profile, 7);
-  const Topology b = synthetic_isp(profile, 7);
-  const Topology c = synthetic_isp(profile, 8);
-  ASSERT_EQ(a.edge_count(), b.edge_count());
-  bool any_difference = a.edge_count() != c.edge_count();
-  for (util::NodeId n = 0; n < profile.routers; ++n) {
-    ASSERT_EQ(a.degree(n), b.degree(n));
-    if (a.degree(n) != c.degree(n)) any_difference = true;
-  }
-  EXPECT_TRUE(any_difference);
-}
-
-TEST(SyntheticIsp, MeanDegreeApproximatesPublished) {
-  // Sprintlink: 6.17 mean degree; EBONE: 3.70 (dissertation §5.1.1).
-  const Topology sprint = synthetic_isp(sprintlink_profile(), 1);
-  const double sprint_mean =
-      static_cast<double>(sprint.edge_count()) / static_cast<double>(sprint.node_count());
-  EXPECT_NEAR(sprint_mean, 6.17, 0.7);
-  const Topology ebone = synthetic_isp(ebone_profile(), 1);
-  const double ebone_mean =
-      static_cast<double>(ebone.edge_count()) / static_cast<double>(ebone.node_count());
-  EXPECT_NEAR(ebone_mean, 3.70, 0.5);
-}
-
 }  // namespace
 }  // namespace fatih::routing

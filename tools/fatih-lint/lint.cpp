@@ -1038,7 +1038,8 @@ class Linter {
         {"obs", {"util"}},
         {"crypto", {"util"}},
         {"sim", {"util", "obs"}},
-        {"routing", {"util", "obs", "crypto", "sim"}},
+        {"topo", {"util"}},
+        {"routing", {"util", "obs", "crypto", "sim", "topo"}},
         {"traffic", {"util", "obs", "sim"}},
         // attacks/ sits ABOVE detection/ since the Byzantine control-plane
         // families forge signed detection payloads (keys + wire formats).
@@ -1053,8 +1054,8 @@ class Linter {
         // scenario/ materializes complete experiments, so it sees the whole
         // stack below it (but not fatih/, the CLI layer).
         {"scenario",
-         {"util", "obs", "crypto", "sim", "routing", "traffic", "validation", "detection",
-          "attacks"}},
+         {"util", "obs", "crypto", "sim", "topo", "routing", "traffic", "validation",
+          "detection", "attacks"}},
     };
     std::map<std::string, const FileCtx*> by_path;
     for (const FileCtx& ctx : ctxs_) by_path[ctx.src->path] = &ctx;
