@@ -4,6 +4,7 @@
 #include <compare>
 
 #include "crypto/siphash.hpp"
+#include "validation/summary.hpp"
 
 namespace fatih::detection {
 
@@ -252,7 +253,7 @@ void Pi2Engine::evaluate(std::int64_t round) {
       auto tv_view = [this](Variant& v) {
         if (config_.policy != TvPolicy::kFlow && v.sorted.size() != v.content.size()) {
           v.sorted = v.content;
-          std::sort(v.sorted.begin(), v.sorted.end());
+          validation::sort_fingerprints(v.sorted, tv_scratch_.tmp);
         }
         return TvView{v.content, v.sorted, v.counters.packets};
       };
@@ -273,7 +274,8 @@ void Pi2Engine::evaluate(std::int64_t round) {
         Variant* down = vars[i + 1];
         if (up == nullptr || down == nullptr) continue;  // per-reporter verdict covered it
         const auto outcome =
-            evaluate_tv(config_.policy, config_.thresholds, tv_view(*up), tv_view(*down));
+            evaluate_tv(config_.policy, config_.thresholds, tv_view(*up), tv_view(*down),
+                        tv_scratch_);
         if (!outcome.ok) {
           suspect(r, routing::PathSegment{nodes[i], nodes[i + 1]}, round, "tv-failed");
         }

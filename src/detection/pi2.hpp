@@ -147,6 +147,7 @@ class Pi2Engine : public RoundDriver {
   util::FlatMap<util::NodeId, ReportMutator> mutators_;
   // Statements are (segment id, reporter, round).
   StatementLedger<std::tuple<std::size_t, util::NodeId, std::int64_t>> ledger_;
+  TvScratch tv_scratch_;  ///< the variant sort's second buffer and evaluate_tv's scratch
 };
 
 }  // namespace fatih::detection

@@ -245,13 +245,14 @@ void Pik2Engine::evaluate(std::int64_t round) {
         continue;
       }
       // Orient: upstream summary is the segment's front end. Spans into
-      // the round stores; evaluate_tv copies nothing but its sort scratch.
+      // the round stores; evaluate_tv sorts only the stretch where the two
+      // streams differ, into the engine's reused scratch.
       const TvView own_view{own_it->second.content, {}, own_it->second.counters.packets};
       const TvView peer_view{peer_it->second.content, {}, peer_it->second.counters.packets};
       const bool we_are_upstream = r == seg.front();
       const auto outcome =
           evaluate_tv(config_.policy, config_.thresholds, we_are_upstream ? own_view : peer_view,
-                      we_are_upstream ? peer_view : own_view);
+                      we_are_upstream ? peer_view : own_view, tv_scratch_);
       if (!outcome.ok) suspect(r, seg, round, "tv-failed");
     }
   }

@@ -129,6 +129,7 @@ class Pik2Engine : public RoundDriver {
   StatementLedger<std::tuple<util::NodeId, routing::PathSegment, std::int64_t>> ledger_;
   util::FlatMap<util::NodeId, ReportMutator> mutators_;
   std::uint64_t exchange_bytes_ = 0;
+  TvScratch tv_scratch_;  ///< evaluate_tv's sort buffers, reused every round
 };
 
 }  // namespace fatih::detection

@@ -1,7 +1,6 @@
 #include "detection/tv.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "validation/summary.hpp"
 
@@ -15,20 +14,26 @@ std::uint64_t loss_allowance(const TvThresholds& th, std::uint64_t upstream_coun
   return std::max(th.max_lost_packets, relative);
 }
 
-/// Returns the view's pre-sorted span when the caller supplied one, else
-/// sorts a scratch copy (kept alive by the caller's scratch vector).
-std::span<const validation::Fingerprint> sorted_of(const TvView& v,
-                                                   std::vector<validation::Fingerprint>& scratch) {
-  if (v.sorted.size() == v.content.size()) return v.sorted;
-  scratch.assign(v.content.begin(), v.content.end());
-  std::sort(scratch.begin(), scratch.end());
-  return scratch;
+bool presorted(const TvView& v) { return v.sorted.size() == v.content.size(); }
+
+/// Narrows `a` and `b` to their middles: drops the longest prefix, then
+/// the longest suffix, on which the two streams agree element by element.
+/// The dropped elements pair off one for one in both multisets, so the
+/// multiset differences of the middles equal those of the whole streams.
+void strip_common_ends(std::span<const validation::Fingerprint>& a,
+                       std::span<const validation::Fingerprint>& b) {
+  const auto front = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  a = {front.first, a.end()};
+  b = {front.second, b.end()};
+  const auto back = std::mismatch(a.rbegin(), a.rend(), b.rbegin(), b.rend());
+  a = {a.begin(), back.first.base()};
+  b = {b.begin(), back.second.base()};
 }
 
 }  // namespace
 
 TvOutcome evaluate_tv(TvPolicy policy, const TvThresholds& thresholds, const TvView& upstream,
-                      const TvView& downstream) {
+                      const TvView& downstream, TvScratch& scratch) {
   TvOutcome out;
   if (policy == TvPolicy::kFlow) {
     const std::uint64_t up = upstream.packets;
@@ -36,10 +41,19 @@ TvOutcome evaluate_tv(TvPolicy policy, const TvThresholds& thresholds, const TvV
     out.lost = up > down ? up - down : 0;
     out.fabricated = down > up ? down - up : 0;
   } else {
-    std::vector<validation::Fingerprint> up_scratch;
-    std::vector<validation::Fingerprint> down_scratch;
-    const auto up_sorted = sorted_of(upstream, up_scratch);
-    const auto down_sorted = sorted_of(downstream, down_scratch);
+    std::span<const validation::Fingerprint> up_sorted = upstream.sorted;
+    std::span<const validation::Fingerprint> down_sorted = downstream.sorted;
+    if (!presorted(upstream) || !presorted(downstream)) {
+      auto up_mid = upstream.content;
+      auto down_mid = downstream.content;
+      strip_common_ends(up_mid, down_mid);
+      scratch.up.assign(up_mid.begin(), up_mid.end());
+      scratch.down.assign(down_mid.begin(), down_mid.end());
+      validation::sort_fingerprints(scratch.up, scratch.tmp);
+      validation::sort_fingerprints(scratch.down, scratch.tmp);
+      up_sorted = scratch.up;
+      down_sorted = scratch.down;
+    }
     out.lost = validation::multiset_difference_size(up_sorted, down_sorted);
     out.fabricated = validation::multiset_difference_size(down_sorted, up_sorted);
     if (policy == TvPolicy::kContentOrder) {
@@ -54,9 +68,10 @@ TvOutcome evaluate_tv(TvPolicy policy, const TvThresholds& thresholds, const TvV
 
 TvOutcome evaluate_tv(TvPolicy policy, const TvThresholds& thresholds,
                       const SegmentSummary& upstream, const SegmentSummary& downstream) {
+  TvScratch scratch;
   return evaluate_tv(policy, thresholds,
                      TvView{upstream.content, {}, upstream.counters.packets},
-                     TvView{downstream.content, {}, downstream.counters.packets});
+                     TvView{downstream.content, {}, downstream.counters.packets}, scratch);
 }
 
 }  // namespace fatih::detection

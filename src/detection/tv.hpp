@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "detection/messages.hpp"
 
@@ -39,19 +40,31 @@ struct TvOutcome {
 /// may carry a pre-sorted copy of the same multiset — engines that
 /// evaluate one summary many times (Pi2's per-router sweep) sort once and
 /// reuse it; leave it empty (any size != content.size()) and evaluate_tv
-/// sorts an internal scratch copy instead.
+/// strips the prefix and suffix the two streams share, then sorts the
+/// rest into the caller's TvScratch.
 struct TvView {
   std::span<const validation::Fingerprint> content;
   std::span<const validation::Fingerprint> sorted = {};
   std::uint64_t packets = 0;
 };
 
+/// Buffers evaluate_tv sorts into when a view has no sorted span. An
+/// engine keeps one across evaluations, so once the buffers have grown
+/// to its largest round the comparison allocates nothing.
+struct TvScratch {
+  std::vector<validation::Fingerprint> up;
+  std::vector<validation::Fingerprint> down;
+  std::vector<validation::Fingerprint> tmp;  ///< the radix sort's second buffer
+};
+
 /// Evaluates TV between an upstream router's summary and the next
 /// downstream router's summary for the same segment and round. The view
 /// overload is the core — it reads straight out of the engines' round
-/// stores; the SegmentSummary overload wraps and delegates.
+/// stores; the SegmentSummary overload wraps and delegates with a scratch
+/// of its own.
 [[nodiscard]] TvOutcome evaluate_tv(TvPolicy policy, const TvThresholds& thresholds,
-                                    const TvView& upstream, const TvView& downstream);
+                                    const TvView& upstream, const TvView& downstream,
+                                    TvScratch& scratch);
 [[nodiscard]] TvOutcome evaluate_tv(TvPolicy policy, const TvThresholds& thresholds,
                                     const SegmentSummary& upstream,
                                     const SegmentSummary& downstream);

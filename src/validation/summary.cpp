@@ -1,9 +1,37 @@
 #include "validation/summary.hpp"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 #include <vector>
 
 namespace fatih::validation {
+
+void sort_fingerprints(std::vector<Fingerprint>& fps, std::vector<Fingerprint>& tmp) {
+  constexpr std::size_t kRadixMin = 64;  // below this, introsort is cheaper
+  const std::size_t n = fps.size();
+  if (n < kRadixMin) {
+    std::sort(fps.begin(), fps.end());
+    return;
+  }
+  // One read builds all eight digit histograms.
+  std::array<std::array<std::size_t, 256>, 8> counts{};
+  for (const Fingerprint fp : fps) {
+    for (std::size_t d = 0; d < 8; ++d) ++counts[d][(fp >> (8 * d)) & 0xFF];
+  }
+  tmp.resize(n);
+  Fingerprint* src = fps.data();
+  Fingerprint* dst = tmp.data();
+  for (std::size_t d = 0; d < 8; ++d) {
+    auto& count = counts[d];
+    if (count[(src[0] >> (8 * d)) & 0xFF] == n) continue;  // constant digit
+    std::size_t offset = 0;
+    for (std::size_t& c : count) offset += std::exchange(c, offset);
+    for (std::size_t i = 0; i < n; ++i) dst[count[(src[i] >> (8 * d)) & 0xFF]++] = src[i];
+    std::swap(src, dst);
+  }
+  if (src != fps.data()) std::copy(src, src + n, fps.data());
+}
 
 std::size_t multiset_difference_size(std::span<const Fingerprint> sorted_a,
                                      std::span<const Fingerprint> sorted_b) {
@@ -49,9 +77,11 @@ std::size_t reorder_count(std::span<const Fingerprint> sent,
     groups.push_back({pos[i].first, i, j, 0});
     i = j;
   }
-  // Map the sent stream to received positions (Hunt-Szymanski: duplicate
-  // positions listed in DECREASING order so the LIS uses each at most once).
-  std::vector<std::vector<std::size_t>> per_sent;
+  // Map the sent stream to received positions and feed them straight into
+  // the patience piles of a longest strictly-increasing subsequence, which
+  // is the LCS length (Hunt-Szymanski). Each matched group's positions go
+  // in DECREASING order so the subsequence uses at most one of them.
+  std::vector<std::size_t> tails;
   std::size_t common = 0;
   for (Fingerprint fp : sent) {
     auto it = std::lower_bound(groups.begin(), groups.end(), fp,
@@ -60,22 +90,13 @@ std::size_t reorder_count(std::span<const Fingerprint> sent,
     if (it->used >= it->end - it->begin) continue;  // more sent copies than received
     ++it->used;
     ++common;
-    // All candidate positions, decreasing.
-    std::vector<std::size_t> cands;
-    cands.reserve(it->end - it->begin);
-    for (std::size_t k = it->end; k-- > it->begin;) cands.push_back(pos[k].second);
-    per_sent.push_back(std::move(cands));
-  }
-  // Longest strictly-increasing subsequence over the concatenated
-  // candidate lists = LCS length.
-  std::vector<std::size_t> tails;  // patience piles
-  for (const auto& cands : per_sent) {
-    for (std::size_t pos : cands) {
-      auto it = std::lower_bound(tails.begin(), tails.end(), pos);
-      if (it == tails.end()) {
-        tails.push_back(pos);
+    for (std::size_t k = it->end; k-- > it->begin;) {
+      const std::size_t at = pos[k].second;
+      auto pile = std::lower_bound(tails.begin(), tails.end(), at);
+      if (pile == tails.end()) {
+        tails.push_back(at);
       } else {
-        *it = pos;
+        *pile = at;
       }
     }
   }

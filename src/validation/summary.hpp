@@ -4,6 +4,7 @@
 //
 //   * CounterSummary            — conservation of flow (WATCHERS-style
 //                                 counters)
+//   * sort_fingerprints         — the one fingerprint sort (LSD radix)
 //   * multiset_difference_size  — conservation of content: lost and
 //                                 fabricated fingerprints between two
 //                                 sorted multisets
@@ -18,10 +19,18 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "validation/fingerprint.hpp"
 
 namespace fatih::validation {
+
+/// Sorts `fps` ascending, the order std::sort gives: an LSD radix sort on
+/// 8-bit digits that skips every pass whose digit is the same in all
+/// elements, with `tmp` as its second buffer (resized as needed, so a
+/// caller that keeps it across calls sorts without allocating once it has
+/// grown). Short inputs go to std::sort.
+void sort_fingerprints(std::vector<Fingerprint>& fps, std::vector<Fingerprint>& tmp);
 
 /// |A \ B| over two SORTED fingerprint multisets (respecting
 /// multiplicity): the count std::set_difference would output. Span-based

@@ -1,5 +1,5 @@
 // Fixture: R12 hot-path-allocation positives: allocations in helpers
-// reachable from the FixtureNode::forward_packet hot-path root.
+// reachable from hot-path roots (a forwarding node and a summary tap).
 #include <memory>
 #include <string>
 
@@ -19,4 +19,14 @@ struct FixtureNode {
     buf.smart();
     buf.label();
   }
+};
+
+// The summary generator's per-packet taps are roots too.
+struct DigestBuf {
+  int* grow() { return new int[64]; }  // fires: 'new', reached from the tap
+};
+
+struct FixtureSummaryGenerator {
+  DigestBuf digests;
+  void on_forward() { delete[] digests.grow(); }
 };

@@ -1279,6 +1279,7 @@ class Linter {
         {"Interface", "complete_propagation"},
         {"Queue", "enqueue"},
         {"Queue", "dequeue"},
+        {"SummaryGenerator", "on_"},
         {"SummaryGenerator", "flush"},
         {"FingerprintHasher", "hash_batch"}};
     std::vector<std::uint32_t> seeds;
