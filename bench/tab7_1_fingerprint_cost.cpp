@@ -2,14 +2,19 @@
 // the protocols add to the forwarding path — keyed fingerprinting (the
 // UHASH-class cost the dissertation discusses), MAC computation, Bloom
 // digest insertion, and characteristic-polynomial evaluation per packet —
-// plus the per-round TV comparison of two fingerprint streams.
+// plus the per-round TV comparison of two fingerprint streams and the
+// receive-side work of one Π2 flood hop copy.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "crypto/mac.hpp"
 #include "crypto/siphash.hpp"
+#include "detection/byzantine.hpp"
+#include "detection/pi2.hpp"
 #include "detection/tv.hpp"
 #include "util/rng.hpp"
 #include "validation/bloom.hpp"
@@ -93,6 +98,39 @@ void BM_MacOverSummary(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MacOverSummary)->Arg(1024)->Arg(16384);
+
+void BM_FloodHop(benchmark::State& state) {
+  // What every Π2 flood hop copy costs its receiver before dedup: the
+  // guard's MAC check, strict parse and signer check, then the flood key.
+  // range(0) fingerprints: 0, 128 and 512 span the payloads the flood
+  // carries (about 100 B, 1.1 KB and 4.2 KB).
+  sim::Network net{1};
+  for (util::NodeId r = 0; r < 4; ++r) net.add_router(util::node_name(r));
+  const crypto::KeyRegistry keys{7};
+  const detection::ControlGuard guard(net, keys, obs::TraceSource::kPi2, "bench");
+  detection::SegmentSummary summary;
+  summary.reporter = 1;
+  summary.segment = routing::PathSegment{0, 1, 2};
+  summary.round = 5;
+  util::Rng rng(3);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    summary.content.push_back(rng.next_u64());
+    summary.counters.add(1000);
+  }
+  detection::SegmentSummaryPayload copy;
+  copy.kind_tag = detection::kKindSummaryFlood;
+  copy.envelope = crypto::sign(keys, summary.reporter, summary.to_bytes());
+  copy.summary = std::move(summary);
+  for (auto _ : state) {
+    std::optional<detection::SegmentSummaryView> view;
+    benchmark::DoNotOptimize(guard.check_summary(copy.envelope, view));
+    benchmark::DoNotOptimize(detection::summary_flood_key(copy));
+  }
+  const auto bytes = static_cast<std::int64_t>(copy.envelope.payload.size());
+  state.SetLabel(std::to_string(bytes) + " B");
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_FloodHop)->Arg(0)->Arg(128)->Arg(512);
 
 void BM_BloomInsert(benchmark::State& state) {
   validation::BloomFilter filter(1 << 16, 4);

@@ -4,6 +4,7 @@
 // per-protocol framing acceptance scenarios on a diamond topology.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -123,6 +124,76 @@ TEST(ControlGuard, RejectionsAreCountedPerVerdict) {
   EXPECT_EQ(s.rejected_stale, 1U);
   EXPECT_EQ(s.rejected_malformed, 1U);
   EXPECT_EQ(s.rejected(), 4U);
+}
+
+TEST(ControlGuard, VerdictsPerSignerIdArePinned) {
+  // A guard built after its network: signer ids inside the network, two
+  // past it and kInvalidNode, each signed correctly, with a payload byte
+  // flipped and with the tag flipped, through all three checks.
+  sim::Network net{3};
+  net.add_router("a");
+  net.add_router("b");
+  net.add_host("h");
+  const crypto::KeyRegistry keys{501};
+  const ControlGuard guard{net, keys, obs::TraceSource::kPi2, "test"};
+  std::vector<NodeId> signers;
+  for (NodeId id = 0; id < net.node_count() + 2; ++id) signers.push_back(id);
+  signers.push_back(util::kInvalidNode);
+
+  const auto variants = [&keys](NodeId signer, std::vector<std::byte> payload) {
+    std::array<crypto::SignedEnvelope, 3> envs;
+    envs.fill(crypto::sign(keys, signer, std::move(payload)));
+    envs[1].payload[envs[1].payload.size() / 2] ^= std::byte{0x40};
+    envs[2].tag ^= 1;
+    return envs;
+  };
+  std::vector<std::string> got;
+  for (NodeId id : signers) {
+    const std::string name = id == util::kInvalidNode ? "invalid" : std::to_string(id);
+    SegmentSummary summary;
+    summary.reporter = id;
+    summary.segment = routing::PathSegment{0, 1};
+    summary.round = 3;
+    summary.content = {11, 22, 33};
+    ChiReport report;
+    report.reporter = id;
+    report.queue_owner = 0;
+    report.queue_peer = 1;
+    report.round = 3;
+    Accusation accusation;
+    accusation.accuser = id;
+    accusation.accused = routing::PathSegment{1};
+    accusation.round = 3;
+    accusation.cause = "test";
+    std::string line = name + " summary";
+    for (const auto& env : variants(id, summary.to_bytes())) {
+      std::optional<SegmentSummaryView> out;
+      line += std::string(" ") + to_string(guard.check_summary(env, out));
+    }
+    got.push_back(line);
+    line = name + " report";
+    for (const auto& env : variants(id, report.to_bytes())) {
+      std::optional<ChiReport> out;
+      line += std::string(" ") + to_string(guard.check_report(env, out));
+    }
+    got.push_back(line);
+    line = name + " accusation";
+    for (const auto& env : variants(id, accusation.to_bytes())) {
+      std::optional<Accusation> out;
+      line += std::string(" ") + to_string(guard.check_accusation(env, out));
+    }
+    got.push_back(line);
+  }
+  std::vector<std::string> expected;
+  for (const char* id : {"0", "1", "2", "3", "4"}) {
+    for (const char* kind : {" summary", " report", " accusation"}) {
+      expected.push_back(std::string(id) + kind + " ok bad-mac bad-mac");
+    }
+  }
+  for (const char* kind : {" summary", " report", " accusation"}) {
+    expected.push_back(std::string("invalid") + kind + " bad-mac bad-mac bad-mac");
+  }
+  EXPECT_EQ(got, expected);
 }
 
 // ------------------------------------------------------- conviction rules
@@ -423,6 +494,70 @@ TEST(FramingAcceptance, Pi2ForgedFloodConvictsForgerNotVictim) {
         << "victim suspected alone: " << s.to_string();
   }
   EXPECT_TRUE(forger_named);
+}
+
+/// Π2's guard accounting on a 5-router line, four rounds of CBR both
+/// ways. With `inject_stale`, two routers re-flood summaries for closed
+/// rounds at 3.6 s, after round 2 closed at 3.45 s: r2 for round 0, two
+/// below the watermark (suspected by its neighbours), and r1 for round 2,
+/// at the watermark (only counted).
+struct Pi2GuardRun {
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected_stale = 0;
+  std::vector<std::string> suspicions{};
+};
+
+Pi2GuardRun run_pi2_guard_fixture(bool inject_stale) {
+  LineNet line{5};
+  Pi2Config cfg;
+  cfg.clock = RoundClock{SimTime::origin(), Duration::seconds(1)};
+  cfg.k = 1;
+  cfg.collect_settle = Duration::millis(150);
+  cfg.evaluate_settle = Duration::millis(300);
+  cfg.policy = TvPolicy::kContentOrder;
+  cfg.rounds = 4;
+  Pi2Engine engine(line.net, line.keys, *line.paths, line.terminals(), cfg);
+  line.add_cbr(0, 4, 1, 200, SimTime::from_seconds(0.05), SimTime::from_seconds(3.9));
+  line.add_cbr(4, 0, 2, 150, SimTime::from_seconds(0.05), SimTime::from_seconds(3.9));
+  engine.start();
+  if (inject_stale) {
+    line.net.sim().schedule_at(SimTime::from_seconds(3.6), [&engine] {
+      for (auto [from, round] : {std::pair<NodeId, std::int64_t>{2, 0}, {1, 2}}) {
+        SegmentSummary old;
+        old.reporter = from;
+        old.segment = engine.monitored_by(from).front();
+        old.round = round;
+        engine.inject_summary(from, old);
+      }
+    });
+  }
+  line.net.sim().run_until(SimTime::from_seconds(6));
+  Pi2GuardRun run;
+  run.accepted = engine.guard_stats().accepted;
+  run.rejected_stale = engine.guard_stats().rejected_stale;
+  for (const Suspicion& s : engine.suspicions()) run.suspicions.push_back(s.to_string());
+  return run;
+}
+
+TEST(Pi2Guard, CleanRunAcceptsEachDeliveredCopyOnce) {
+  const Pi2GuardRun run = run_pi2_guard_fixture(false);
+  // 6 segments x 3 reporters x 4 rounds, delivered at each of 5 routers.
+  EXPECT_EQ(run.accepted, 360U);
+  EXPECT_EQ(run.rejected_stale, 0U);
+  EXPECT_TRUE(run.suspicions.empty());
+}
+
+TEST(Pi2Guard, OriginatorVetsItsOwnStaleSummary) {
+  const Pi2GuardRun run = run_pi2_guard_fixture(true);
+  // Neither originator accepts its own copy, and each stale copy is
+  // rejected at both of its originator's neighbours.
+  EXPECT_EQ(run.accepted, 360U);
+  EXPECT_EQ(run.rejected_stale, 4U);
+  const std::vector<std::string> expected = {
+      "r1 suspects <r2> during [3.000000s,4.000000s) cause=stale-replay conf=1.0000",
+      "r3 suspects <r2> during [3.000000s,4.000000s) cause=stale-replay conf=1.0000",
+  };
+  EXPECT_EQ(run.suspicions, expected);
 }
 
 TEST(FramingAcceptance, ChiLyingNeighborAttributedNotTheOwner) {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <set>
+#include <vector>
+
 #include "attacks/attacks.hpp"
+#include "crypto/siphash.hpp"
 #include "detection/spec.hpp"
 #include "tests/detection/test_net.hpp"
+#include "util/rng.hpp"
 
 namespace fatih::detection {
 namespace {
@@ -203,6 +209,87 @@ TEST(Pi2, ThresholdsAbsorbBenignLoss) {
   engine.start();
   line.net.sim().run_until(SimTime::from_seconds(6));
   EXPECT_TRUE(engine.suspicions().empty());
+}
+
+// ------------------------------------------------------------- flood key
+
+/// The full-content key: SipHash of SegmentSummary::encode ‖ the tag, under
+/// the flood key's constant key. The flood key must split the copies below
+/// into exactly the groups this one does.
+std::uint64_t full_content_key(const SegmentSummaryPayload& p) {
+  constexpr crypto::SipKey kKey{0x50493246C00DF00DULL, 0x64697373656D3031ULL};
+  crypto::SipHasher h(kKey);
+  p.summary.encode([&h](const void* data, std::size_t len) { h.update(data, len); });
+  h.update(&p.envelope.tag, sizeof(p.envelope.tag));
+  return h.finish();
+}
+
+TEST(Pi2FloodKey, GroupsCopiesAsTheFullContentKeyDoes) {
+  const crypto::KeyRegistry keys{777};
+  const routing::PathSegment seg{0, 1, 2};
+  const auto signed_by = [&keys](util::NodeId signer, SegmentSummary s) {
+    SegmentSummaryPayload p;
+    p.kind_tag = kKindSummaryFlood;
+    p.envelope = crypto::sign(keys, signer, s.to_bytes());
+    p.summary = std::move(s);
+    return p;
+  };
+  // ForgedControlInjector's copy: the victim's name, a fabricated tag.
+  const auto forged = [](const routing::PathSegment& on, std::int64_t round) {
+    SegmentSummaryPayload p;
+    p.kind_tag = kKindSummaryFlood;
+    p.summary.reporter = 1;
+    p.summary.segment = on;
+    p.summary.round = round;
+    p.envelope.signer = 1;
+    p.envelope.payload = p.summary.to_bytes();
+    p.envelope.tag = 0xDEADC0DEDEADC0DEULL;
+    return p;
+  };
+
+  SegmentSummary honest;
+  honest.reporter = 1;
+  honest.segment = seg;
+  honest.round = 4;
+  util::Rng rng(17);
+  for (int i = 0; i < 150; ++i) {
+    honest.content.push_back(rng.next_u64());
+    honest.counters.add(1000);
+  }
+  SegmentSummary empty;
+  empty.reporter = 1;
+  empty.segment = seg;
+  empty.round = 4;
+  SegmentSummary equivocation = honest;
+  equivocation.content[75] ^= 1;
+
+  std::vector<SegmentSummaryPayload> copies;
+  copies.push_back(signed_by(1, honest));
+  copies.push_back(copies.front());  // a deep copy
+  // ControlTamperAttack: one payload byte flipped, summary and tag kept;
+  // an empty payload gets its tag flipped instead.
+  copies.push_back(copies.front());
+  copies.back().envelope.payload[copies.back().envelope.payload.size() / 2] ^= std::byte{0x40};
+  copies.push_back(signed_by(1, empty));
+  copies.push_back(copies.back());
+  copies.back().envelope.tag ^= 1;
+  copies.push_back(signed_by(1, equivocation));
+  for (std::int64_t round : {3, 4, 5}) copies.push_back(forged(seg, round));
+  copies.push_back(forged(routing::PathSegment{1, 2, 3}, 5));
+  copies.push_back(signed_by(2, honest));  // signed by a router that is not the reporter
+
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    for (std::size_t j = 0; j < copies.size(); ++j) {
+      const bool same = full_content_key(copies[i]) == full_content_key(copies[j]);
+      EXPECT_EQ(summary_flood_key(copies[i]) == summary_flood_key(copies[j]), same)
+          << "copies " << i << " and " << j;
+    }
+  }
+  // The honest summary, its deep copy and its tampered copy form one
+  // group; every other copy stands alone.
+  std::set<std::uint64_t> groups;
+  for (const auto& p : copies) groups.insert(summary_flood_key(p));
+  EXPECT_EQ(groups.size(), copies.size() - 2);
 }
 
 }  // namespace
