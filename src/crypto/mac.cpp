@@ -11,12 +11,10 @@ MacTag outer_mac(SipKey key, std::uint64_t inner) {
   return siphash24(outer_key, &inner, sizeof(inner));
 }
 
-// The MAC of signer ‖ payload: binding the signer identity into the tag
-// means an envelope cannot be re-attributed. Both parts are hashed in
-// place.
-MacTag envelope_mac(const KeyRegistry& reg, util::NodeId signer,
-                    std::span<const std::byte> payload) {
-  const SipKey key = reg.signing_key(signer);
+// The MAC of signer ‖ payload under the signer's key: binding the signer
+// identity into the tag means an envelope cannot be re-attributed. Both
+// parts are hashed in place.
+MacTag envelope_mac(SipKey key, util::NodeId signer, std::span<const std::byte> payload) {
   SipHasher inner(key);
   inner.update(&signer, sizeof(signer));
   inner.update(payload);
@@ -32,13 +30,17 @@ SignedEnvelope sign(const KeyRegistry& reg, util::NodeId signer, std::vector<std
   SignedEnvelope env;
   env.signer = signer;
   env.payload = std::move(payload);
-  env.tag = envelope_mac(reg, signer, env.payload);
+  env.tag = envelope_mac(reg.signing_key(signer), signer, env.payload);
   return env;
 }
 
-bool verify(const KeyRegistry& reg, const SignedEnvelope& env) {
+bool verify(SipKey signing_key, const SignedEnvelope& env) {
   if (env.signer == util::kInvalidNode) return false;
-  return envelope_mac(reg, env.signer, env.payload) == env.tag;
+  return envelope_mac(signing_key, env.signer, env.payload) == env.tag;
+}
+
+bool verify(const KeyRegistry& reg, const SignedEnvelope& env) {
+  return verify(reg.signing_key(env.signer), env);
 }
 
 }  // namespace fatih::crypto

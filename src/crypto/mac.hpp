@@ -40,7 +40,12 @@ struct SignedEnvelope {
 [[nodiscard]] SignedEnvelope sign(const KeyRegistry& reg, util::NodeId signer,
                                   std::vector<std::byte> payload);
 
-/// Verifies an envelope against the registry; false on any mismatch.
+/// Verifies an envelope under `signing_key`, which the caller looked up
+/// for env.signer; false on any mismatch and for kInvalidNode.
+[[nodiscard]] bool verify(SipKey signing_key, const SignedEnvelope& env);
+
+/// Verifies an envelope against the registry: the signer's key, then the
+/// overload above.
 [[nodiscard]] bool verify(const KeyRegistry& reg, const SignedEnvelope& env);
 
 /// Serialization helper: appends a trivially-copyable value to a byte blob.

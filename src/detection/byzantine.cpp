@@ -18,7 +18,17 @@ const char* to_string(ControlVerdict v) {
 
 ControlGuard::ControlGuard(sim::Network& net, const crypto::KeyRegistry& keys,
                            obs::TraceSource source, std::string metric_prefix)
-    : net_(net), keys_(keys), source_(source), metric_prefix_(std::move(metric_prefix)) {}
+    : net_(net), keys_(keys), source_(source), metric_prefix_(std::move(metric_prefix)) {
+  signing_keys_.reserve(net_.node_count());
+  for (util::NodeId n = 0; n < net_.node_count(); ++n) {
+    signing_keys_.push_back(keys_.signing_key(n));
+  }
+}
+
+bool ControlGuard::verify(const crypto::SignedEnvelope& env) const {
+  if (env.signer < signing_keys_.size()) return crypto::verify(signing_keys_[env.signer], env);
+  return crypto::verify(keys_, env);
+}
 
 ControlVerdict ControlGuard::check_summary(const crypto::SignedEnvelope& env,
                                            std::optional<SegmentSummary>& out) const {
@@ -30,7 +40,7 @@ ControlVerdict ControlGuard::check_summary(const crypto::SignedEnvelope& env,
 
 ControlVerdict ControlGuard::check_summary(const crypto::SignedEnvelope& env,
                                            std::optional<SegmentSummaryView>& out) const {
-  if (!crypto::verify(keys_, env)) return ControlVerdict::kBadMac;
+  if (!verify(env)) return ControlVerdict::kBadMac;
   const auto view = SegmentSummaryView::parse(env.payload);
   if (!view.has_value()) return ControlVerdict::kMalformed;
   if (view->reporter != env.signer) return ControlVerdict::kSignerMismatch;
@@ -40,7 +50,7 @@ ControlVerdict ControlGuard::check_summary(const crypto::SignedEnvelope& env,
 
 ControlVerdict ControlGuard::check_report(const crypto::SignedEnvelope& env,
                                           std::optional<ChiReport>& out) const {
-  if (!crypto::verify(keys_, env)) return ControlVerdict::kBadMac;
+  if (!verify(env)) return ControlVerdict::kBadMac;
   auto decoded = ChiReport::from_bytes(env.payload);
   if (!decoded.has_value()) return ControlVerdict::kMalformed;
   if (decoded->reporter != env.signer) return ControlVerdict::kSignerMismatch;
@@ -50,7 +60,7 @@ ControlVerdict ControlGuard::check_report(const crypto::SignedEnvelope& env,
 
 ControlVerdict ControlGuard::check_accusation(const crypto::SignedEnvelope& env,
                                               std::optional<Accusation>& out) const {
-  if (!crypto::verify(keys_, env)) return ControlVerdict::kBadMac;
+  if (!verify(env)) return ControlVerdict::kBadMac;
   auto decoded = Accusation::from_bytes(env.payload);
   if (!decoded.has_value()) return ControlVerdict::kMalformed;
   if (decoded->accuser != env.signer) return ControlVerdict::kSignerMismatch;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "crypto/mac.hpp"
 #include "detection/messages.hpp"
@@ -55,7 +56,8 @@ struct ByzantineStats {
 class ControlGuard {
  public:
   /// `source` tags the trace events; `metric_prefix` scopes the metric
-  /// names ("pi2" -> "byzantine.pi2.rejected.bad-mac", ...).
+  /// names ("pi2" -> "byzantine.pi2.rejected.bad-mac", ...). The signing
+  /// keys of the network's nodes are looked up here, once.
   ControlGuard(sim::Network& net, const crypto::KeyRegistry& keys, obs::TraceSource source,
                std::string metric_prefix);
 
@@ -94,8 +96,15 @@ class ControlGuard {
   [[nodiscard]] const ByzantineStats& stats() const { return stats_; }
 
  private:
+  /// crypto::verify under the signer's key: from signing_keys_ for ids
+  /// below the network's node count at construction, else the registry.
+  [[nodiscard]] bool verify(const crypto::SignedEnvelope& env) const;
+
   sim::Network& net_;
   const crypto::KeyRegistry& keys_;
+  /// Signing key per node id. Built eagerly and never written again, so
+  /// shard workers may read it concurrently.
+  std::vector<crypto::SipKey> signing_keys_;
   obs::TraceSource source_;
   std::string metric_prefix_;
   ByzantineStats stats_;

@@ -30,13 +30,21 @@ class FloodService {
   /// `kind` selects which control payloads this service owns.
   FloodService(sim::Network& net, std::uint16_t kind);
 
-  /// Deduplication key: payloads with equal keys are flooded once.
+  /// Deduplication key: payloads with equal keys are flooded once. On the
+  /// flood path the key is taken after validation (when a ValidateFn is
+  /// set), so it only has to separate copies that passed it. A reliable
+  /// channel sharing this function takes it before validation, for acks
+  /// and receiver dedup, so it must also keep apart the unvalidated copies
+  /// that should not settle each other.
   using KeyFn = std::function<std::uint64_t(const sim::ControlPayload&)>;
   void set_key_fn(KeyFn fn) { key_fn_ = std::move(fn); }
 
   /// Called at router `at` whenever a new (non-duplicate) payload arrives.
-  using DeliveryFn =
-      std::function<void(util::NodeId at, const sim::ControlPayload&, util::SimTime)>;
+  /// `vetted` is true when the ValidateFn accepted this copy in the same
+  /// call, so the receiver need not check it again. It is false for a
+  /// locally originated payload and when no ValidateFn is set.
+  using DeliveryFn = std::function<void(util::NodeId at, const sim::ControlPayload&,
+                                        util::SimTime, bool vetted)>;
   void set_delivery_fn(DeliveryFn fn) { delivery_fn_ = std::move(fn); }
 
   /// Verify-before-reflood: when set, every arriving hop copy is validated
@@ -45,7 +53,7 @@ class FloodService {
   /// (if set) fires with the hop that handed it over, which in the
   /// simulation is ground truth and therefore supports a precision-1
   /// suspicion of that hop. Locally originated payloads skip validation
-  /// (the originator vouches for its own messages). Rejected copies are
+  /// (they are delivered with `vetted` false). Rejected copies are
   /// not marked seen, so the same content arriving over a clean path is
   /// still judged on its own merits.
   using ValidateFn = std::function<bool(util::NodeId at, const sim::ControlPayload&)>;

@@ -57,6 +57,27 @@ TEST(SignedEnvelope, InvalidSignerRejected) {
   EXPECT_FALSE(verify(reg, env));
 }
 
+TEST(SignedEnvelope, VerifyUnderLookedUpKeyMatchesRegistry) {
+  // The overload a verifier with a key table calls must agree with the
+  // registry lookup on valid, payload-flipped and tag-flipped envelopes,
+  // and reject kInvalidNode even under the key its tag was made with.
+  const KeyRegistry reg(7);
+  for (util::NodeId signer : {0U, 4U, 1000U, util::kInvalidNode}) {
+    const SignedEnvelope valid = sign(reg, signer, bytes_of("flooded summary"));
+    SignedEnvelope flipped_payload = valid;
+    flipped_payload.payload[3] ^= std::byte{0x40};
+    SignedEnvelope flipped_tag = valid;
+    flipped_tag.tag ^= 1;
+    const SipKey key = reg.signing_key(signer);
+    for (const SignedEnvelope& env : {valid, flipped_payload, flipped_tag}) {
+      EXPECT_EQ(verify(key, env), verify(reg, env)) << signer;
+    }
+    EXPECT_EQ(verify(key, valid), signer != util::kInvalidNode) << signer;
+    EXPECT_FALSE(verify(key, flipped_payload)) << signer;
+    EXPECT_FALSE(verify(key, flipped_tag)) << signer;
+  }
+}
+
 TEST(SignedEnvelope, EmptyPayloadSignable) {
   const KeyRegistry reg(7);
   const auto env = sign(reg, 0, {});
