@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "routing/install.hpp"
+#include "routing/spf.hpp"
+#include "routing/topologies.hpp"
 #include "sim/churn.hpp"
 #include "sim/node.hpp"
+#include "traffic/sources.hpp"
 
 namespace fatih::sim {
 namespace {
@@ -426,6 +434,94 @@ TEST(Network, AdjacencyExportMatchesLinks) {
   EXPECT_EQ(net.adjacencies()[0].metric, 9U);
   EXPECT_EQ(net.adjacencies()[0].from, a.id());
   EXPECT_EQ(net.adjacencies()[1].from, b.id());
+}
+
+/// Router forward operations, deliveries and dispatched events of one run.
+struct AbileneCounts {
+  std::uint64_t forwarded = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t dispatched = 0;
+};
+
+/// The Abilene no-attack forwarding substrate under the chapter-5/6
+/// experiments: 11 PoPs on 1 Gbps links with 256 KB queues, static
+/// shortest-path routes, 20 us processing delay with up to 10 us jitter, a
+/// forward tap and a local handler on every router (the summary-generator
+/// attachment shape), and ten 2,000 pps CBR flows of 960 B payloads over
+/// five coast-to-coast and regional pairs, both ways, from 0.01 s to 10 s.
+/// Runs to 11 s; a non-null `sink` or `metrics` is attached for the run.
+AbileneCounts run_abilene_no_attack(obs::TraceSink* sink = nullptr,
+                                    obs::MetricsRegistry* metrics = nullptr) {
+  Network net{20260805};
+  for (NodeId n = 0; n <= routing::kNewYork; ++n) net.add_router(routing::abilene_name(n));
+  for (const auto& l : routing::abilene_links()) {
+    LinkConfig link;
+    link.delay = Duration::millis(l.delay_ms);
+    link.metric = l.delay_ms;
+    link.bandwidth_bps = 1e9;
+    link.queue_limit_bytes = 256000;
+    net.connect(l.a, l.b, link);
+  }
+  routing::install_static_routes(net, routing::RoutingTables(routing::Topology::from_network(net)));
+  for (NodeId n = 0; n <= routing::kNewYork; ++n) {
+    net.router(n).set_processing_delay(Duration::micros(20), Duration::micros(10));
+  }
+  if (sink != nullptr || metrics != nullptr) net.attach_observability(sink, metrics);
+
+  AbileneCounts out;
+  for (NodeId n = 0; n <= routing::kNewYork; ++n) {
+    net.router(n).add_forward_tap(
+        [&out](const Packet&, NodeId, std::size_t, SimTime) { ++out.forwarded; });
+    net.router(n).add_local_handler([&out](const Packet&, NodeId, SimTime) { ++out.delivered; });
+  }
+  const std::pair<NodeId, NodeId> pairs[] = {
+      {routing::kSeattle, routing::kNewYork},    {routing::kSunnyvale, routing::kWashington},
+      {routing::kLosAngeles, routing::kAtlanta}, {routing::kDenver, routing::kChicago},
+      {routing::kHouston, routing::kIndianapolis}};
+  std::vector<std::unique_ptr<traffic::CbrSource>> sources;
+  std::uint32_t flow = 1;
+  for (const auto& [a, b] : pairs) {
+    for (const auto& [src, dst] : {std::pair{a, b}, std::pair{b, a}}) {
+      traffic::CbrSource::Config cfg;
+      cfg.src = src;
+      cfg.dst = dst;
+      cfg.flow_id = flow++;
+      cfg.payload_bytes = 960;
+      cfg.rate_pps = 2000.0;
+      cfg.start = SimTime::from_seconds(0.01);
+      cfg.stop = SimTime::from_seconds(10);
+      sources.push_back(std::make_unique<traffic::CbrSource>(net, cfg));
+    }
+  }
+  net.sim().run_until(SimTime::from_seconds(11));
+  out.dispatched = net.sim().events_dispatched();
+  return out;
+}
+
+TEST(Network, AbileneNoAttackMatchesSeedEngineCounts) {
+  // The seed's event engine (a priority_queue plus a callback map) gave
+  // these counts on this scenario. Every engine since must reproduce them
+  // exactly: a drift means forwarding or dispatch behaviour changed.
+  constexpr std::uint64_t kSeedForwarded = 639'360;
+  constexpr std::uint64_t kSeedDelivered = 199'800;
+  constexpr std::uint64_t kSeedDispatched = 1'918'090;
+  const AbileneCounts plain = run_abilene_no_attack();
+  EXPECT_EQ(plain.forwarded, kSeedForwarded);
+  EXPECT_EQ(plain.delivered, kSeedDelivered);
+  EXPECT_EQ(plain.dispatched, kSeedDispatched);
+
+#if FATIH_TRACE
+  // Observation never perturbs: with a sink and a registry attached the
+  // run reproduces the same counts, and both record something.
+  obs::TraceSink sink;
+  obs::MetricsRegistry metrics;
+  const AbileneCounts traced = run_abilene_no_attack(&sink, &metrics);
+  EXPECT_EQ(traced.forwarded, kSeedForwarded);
+  EXPECT_EQ(traced.delivered, kSeedDelivered);
+  EXPECT_EQ(traced.dispatched, kSeedDispatched);
+  EXPECT_GT(sink.offered(), 0U);
+  EXPECT_GT(metrics.counter_value("sim.enqueued"), 0U);
+#endif  // FATIH_TRACE
 }
 
 }  // namespace
