@@ -312,8 +312,8 @@ std::vector<ScenarioSpec> build_all() {
   all.push_back(reliable(line4("line4_pi2_reliable", DetectorKind::kPi2, 19)));
 
   {
-    // The Abilene forwarding substrate (bench/perf_scenarios.hpp) with a
-    // Pi(k+2) overlay on two coast-to-coast pairs.
+    // The Abilene forwarding substrate (tests/sim/network_test.cpp pins
+    // its seed counts) with a Pi(k+2) overlay on two coast-to-coast pairs.
     ScenarioSpec s;
     s.name = "abilene_pik2_clean";
     s.topology = TopologyKind::kAbilene;

@@ -1,8 +1,9 @@
 // The builtin scenario corpus.
 //
-// Re-expresses the scenarios the bench binaries hard-code — the line
-// networks of the detection tests, the Abilene no-attack macro
-// (bench/perf_scenarios.hpp), and the Fig. 6.4 chi bottleneck with its
+// Re-expresses the scenarios the benches and tests hard-code — the line
+// networks of the detection tests, the Abilene no-attack forwarding
+// substrate (pinned by Network.AbileneNoAttackMatchesSeedEngineCounts in
+// tests/sim/network_test.cpp), and the Fig. 6.4 chi bottleneck with its
 // drop-tail / RED attack variants (bench/chi_fixture.hpp, the fig6_*
 // setups) — as declarative ScenarioSpecs. These are the seeds of the
 // golden regression corpus (BENCH_fleet_corpus.json): every spec here is
