@@ -22,31 +22,4 @@ void install_static_routes(sim::Network& net, const RoutingTables& tables) {
   }
 }
 
-void install_policy_routes(sim::Network& net, const PolicyRoutes& routes) {
-  for (util::NodeId r = 0; r < net.node_count(); ++r) {
-    if (!net.is_router(r)) continue;
-    auto& router = net.router(r);
-    router.clear_routes();
-    for (util::NodeId d = 0; d < net.node_count(); ++d) {
-      if (d == r) continue;
-      // Default (locally originated) route: origin state prev == r.
-      if (auto nh = routes.next_hop(r, r, d)) {
-        if (auto* iface = router.interface_to(*nh)) router.set_route(d, iface->index());
-      }
-      // Policy routes per previous hop.
-      for (std::size_t i = 0; i < router.interface_count(); ++i) {
-        const util::NodeId prev = router.interface(i).peer();
-        const auto nh = routes.next_hop(prev, r, d);
-        if (!nh) {
-          router.set_policy_drop(prev, d);
-          continue;
-        }
-        if (auto* iface = router.interface_to(*nh)) {
-          router.set_policy_route(prev, d, iface->index());
-        }
-      }
-    }
-  }
-}
-
 }  // namespace fatih::routing

@@ -17,9 +17,4 @@ namespace fatih::routing {
 /// Writes every router's next hops from `tables` into the Network.
 void install_static_routes(sim::Network& net, const RoutingTables& tables);
 
-/// Writes (prev, dst) policy routes from `routes` into the Network.
-/// Pairs with no compliant route get an explicit drop entry so traffic is
-/// not silently rerouted through a banned segment.
-void install_policy_routes(sim::Network& net, const PolicyRoutes& routes);
-
 }  // namespace fatih::routing
