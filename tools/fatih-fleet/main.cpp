@@ -22,12 +22,14 @@
 
 #include <chrono>
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -68,6 +70,22 @@ bool write_file(const std::string& path, const std::string& text) {
   if (!out) return false;
   out << text;
   return static_cast<bool>(out);
+}
+
+/// Reads all of `text` as an unsigned decimal number that fits in T. A
+/// missing value, a sign, trailing characters or an out-of-range value all
+/// fail, so the caller prints usage instead of aborting or guessing.
+template <typename T>
+bool parse_number(const std::string& text, T& out) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end ||
+      v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  out = static_cast<T>(v);
+  return true;
 }
 
 int usage() {
@@ -354,7 +372,7 @@ int main(int argc, char** argv) {
       if (args[i] == "--out" && i + 1 < args.size()) {
         out_path = args[++i];
       } else if (args[i] == "--threads" && i + 1 < args.size()) {
-        threads = static_cast<unsigned>(std::stoul(args[++i]));
+        if (!parse_number(args[++i], threads)) return usage();
       } else if (name.empty()) {
         name = args[i];
       } else {
@@ -374,17 +392,19 @@ int main(int argc, char** argv) {
       const auto next = [&]() -> std::string {
         return i + 1 < args.size() ? args[++i] : std::string();
       };
-      if (a == "--jobs") opt.jobs = std::stoi(next());
-      else if (a == "--threads") opt.threads = static_cast<unsigned>(std::stoul(next()));
-      else if (a == "--timeout-ms") opt.timeout_ms = std::stoll(next());
-      else if (a == "--hang-timeout-ms") opt.hang_timeout_ms = std::stoll(next());
-      else if (a == "--retries") opt.retries = std::stoi(next());
+      bool ok = true;
+      if (a == "--jobs") ok = parse_number(next(), opt.jobs);
+      else if (a == "--threads") ok = parse_number(next(), opt.threads);
+      else if (a == "--timeout-ms") ok = parse_number(next(), opt.timeout_ms);
+      else if (a == "--hang-timeout-ms") ok = parse_number(next(), opt.hang_timeout_ms);
+      else if (a == "--retries") ok = parse_number(next(), opt.retries);
       else if (a == "--out") opt.out_path = next();
       else if (a == "--golden") opt.golden_path = next();
       else if (a == "--inject-crash") inject_crash = true;
       else if (a == "--inject-hang") inject_hang = true;
       else if (!a.empty() && a[0] == '-') return usage();
       else opt.names.push_back(a);
+      if (!ok) return usage();
     }
     if (opt.jobs < 1) opt.jobs = 1;
     if (opt.names.empty()) {
