@@ -11,8 +11,9 @@
 #include "detection/pi2.hpp"
 #include "detection/pik2.hpp"
 #include "detection/spec.hpp"
-#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "tests/detection/test_net.hpp"
+#include "tests/detection/trace_counts.hpp"
 
 namespace fatih::detection {
 namespace {
@@ -283,24 +284,19 @@ TEST(ReliableChannel, GenuineAckSettlesDespiteSpoofingNoise) {
 
 #if FATIH_TRACE
 TEST(ReliableChannel, RegistryCountersMirrorChannelStats) {
-  // The observability layer counts what the channel counts: after a lossy
-  // run, every reliable.* registry counter equals the Stats field the
-  // channel kept itself.
+  // The trace records what the channel counts: after a lossy run, each
+  // kReliable exchange event count equals the Stats field the channel
+  // kept itself.
+  obs::TraceSink sink;
   ChannelHarness h;
-  obs::MetricsRegistry metrics;
-  h.line.net.attach_observability(nullptr, &metrics);
+  h.line.net.sim().set_trace(&sink);
   attacks::ControlLinkFaults faults(h.line.net, uniform_control_loss(0.4));
   for (std::uint64_t i = 0; i < 20; ++i) h.send_at(0.1 + 0.05 * i, 0, 2, i);
   h.run(6.0);
   const auto& s = h.channel->stats();
   EXPECT_GT(s.retransmits, 0U);  // the fault script really bit
-  EXPECT_EQ(metrics.counter_value("reliable.messages"), s.messages);
-  EXPECT_EQ(metrics.counter_value("reliable.transmissions"), s.transmissions);
-  EXPECT_EQ(metrics.counter_value("reliable.retransmits"), s.retransmits);
-  EXPECT_EQ(metrics.counter_value("reliable.failures"), s.failures);
-  EXPECT_EQ(metrics.counter_value("reliable.acks_sent"), s.acks_sent);
-  EXPECT_EQ(metrics.counter_value("reliable.acks_received"), s.acks_received);
-  EXPECT_EQ(metrics.counter_value("reliable.duplicates"), s.duplicates);
+  ASSERT_EQ(sink.overwritten(), 0U);
+  testing::expect_reliable_traced(sink, s);
 }
 #endif  // FATIH_TRACE
 

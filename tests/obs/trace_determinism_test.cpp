@@ -1,7 +1,7 @@
 // The observability acceptance test: two identically-seeded runs of the
 // churn scenario (all three detection engines, an attacker, a link flap
-// on a live link-state fabric) must serialize byte-identical traces and
-// metrics snapshots. This is the property that makes the trace sink a
+// on a live link-state fabric) must serialize byte-identical traces. This
+// is the property that makes the trace sink a
 // legitimate test/bench instrument — if observation perturbed the run or
 // recorded nondeterministically, figure regeneration and trace-based
 // assertions would be meaningless.
@@ -14,10 +14,10 @@
 #include "detection/chi.hpp"
 #include "detection/pi2.hpp"
 #include "detection/pik2.hpp"
-#include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "tests/detection/churn_net.hpp"
+#include "tests/detection/trace_counts.hpp"
 
 #if FATIH_TRACE
 
@@ -33,7 +33,6 @@ constexpr double kEndS = 18.0;
 /// Everything one run leaves behind, serialized.
 struct RunRecord {
   std::string trace_jsonl;
-  std::string metrics_json;
   std::uint64_t trace_recorded = 0;
   DetectorCounters pi2_counters;
   DetectorCounters pik2_counters;
@@ -43,10 +42,9 @@ struct RunRecord {
 
 RunRecord run_once(std::uint64_t seed) {
   obs::TraceSink sink;
-  obs::MetricsRegistry metrics;
 
   testing::ChurnNet n(seed);
-  n.net.attach_observability(&sink, &metrics);
+  n.net.sim().set_trace(&sink);
   n.add_cbr(0, 2, /*flow=*/1, /*pps=*/400.0, /*start=*/2.05, /*stop=*/16.5);
 
   attacks::FlowMatch match;
@@ -93,7 +91,6 @@ RunRecord run_once(std::uint64_t seed) {
 
   RunRecord rec;
   rec.trace_jsonl = sink.to_jsonl();
-  rec.metrics_json = metrics.to_json();
   rec.trace_recorded = sink.recorded();
   rec.pi2_counters = pi2->counters();
   rec.pik2_counters = pik2->counters();
@@ -102,15 +99,11 @@ RunRecord run_once(std::uint64_t seed) {
   return rec;
 }
 
-/// The engine's introspection counters and its "<engine>.*" registry
-/// mirror agree, and the flap invalidated some of its rounds.
-void expect_mirrored(const obs::MetricsRegistry& metrics, const std::string& engine,
-                     const DetectorCounters& c) {
-  SCOPED_TRACE(engine);
-  EXPECT_EQ(metrics.counter_value(engine + ".rounds_opened"), c.rounds_opened);
-  EXPECT_EQ(metrics.counter_value(engine + ".rounds_evaluated"), c.rounds_evaluated);
-  EXPECT_EQ(metrics.counter_value(engine + ".rounds_invalidated"), c.rounds_invalidated);
-  EXPECT_EQ(metrics.counter_value(engine + ".suspicions"), c.suspicions);
+/// The engine's introspection counters equal its own trace events, and
+/// the flap invalidated some of its rounds.
+void expect_traced(const obs::TraceSink& sink, obs::TraceSource source,
+                   const DetectorCounters& c) {
+  testing::expect_counters_traced(sink, source, c);
   EXPECT_GT(c.rounds_opened, 0U);
   EXPECT_GT(c.rounds_invalidated, 0U);
 }
@@ -128,11 +121,9 @@ TEST(TraceDeterminism, IdenticalSeedsProduceByteIdenticalOutput) {
 
   // Non-vacuous: the scenario actually produced a substantial trace.
   EXPECT_GT(r1.trace_recorded, 100U);
-  EXPECT_FALSE(r1.metrics_json.empty());
 
   // The headline property.
   EXPECT_EQ(r1.trace_jsonl, r2.trace_jsonl);
-  EXPECT_EQ(r1.metrics_json, r2.metrics_json);
   EXPECT_EQ(r1.trace_recorded, r2.trace_recorded);
   expect_counters_eq(r1.pi2_counters, r2.pi2_counters);
   expect_counters_eq(r1.pik2_counters, r2.pik2_counters);
@@ -148,13 +139,15 @@ TEST(TraceDeterminism, DifferentSeedsDiverge) {
 }
 
 TEST(TraceDeterminism, EveryInstrumentedLayerAppearsInTheTrace) {
-  obs::TraceSink sink;
-  obs::MetricsRegistry metrics;
+  // Large enough to keep the whole run: the counts below need every event.
+  obs::TraceConfig cfg;
+  cfg.capacity = 1 << 20;
+  obs::TraceSink sink(cfg);
   {
     // Re-run once with the sink shared so we can query the live objects.
-    // Pi2 and chi ride along so every engine's registry mirror is checked.
+    // Pi2 and chi ride along so every engine's counters are checked.
     testing::ChurnNet n(7);
-    n.net.attach_observability(&sink, &metrics);
+    n.net.sim().set_trace(&sink);
     n.add_cbr(0, 2, 1, 400.0, 2.05, 16.5);
     attacks::FlowMatch match;
     match.flow_ids = {1};
@@ -186,18 +179,15 @@ TEST(TraceDeterminism, EveryInstrumentedLayerAppearsInTheTrace) {
     chi.start();
     n.net.sim().run_until(SimTime::from_seconds(kEndS));
 
-    expect_mirrored(metrics, "pik2", pik2.counters());
-    expect_mirrored(metrics, "pi2", pi2.counters());
-    expect_mirrored(metrics, "chi", chi.counters());
+    ASSERT_EQ(sink.overwritten(), 0U);
+    expect_traced(sink, obs::TraceSource::kPik2, pik2.counters());
+    expect_traced(sink, obs::TraceSource::kPi2, pi2.counters());
+    expect_traced(sink, obs::TraceSource::kChi, chi.counters());
 
-    // Reliable transport counters mirror the channel stats.
+    // The reliable transport's stats equal its exchange events.
     ASSERT_NE(pik2.channel(), nullptr);
     const ReliableChannel::Stats& rs = pik2.channel()->stats();
-    EXPECT_EQ(metrics.counter_value("reliable.messages"), rs.messages);
-    EXPECT_EQ(metrics.counter_value("reliable.transmissions"), rs.transmissions);
-    EXPECT_EQ(metrics.counter_value("reliable.retransmits"), rs.retransmits);
-    EXPECT_EQ(metrics.counter_value("reliable.failures"), rs.failures);
-    EXPECT_EQ(metrics.counter_value("reliable.acks_received"), rs.acks_received);
+    testing::expect_reliable_traced(sink, rs);
     EXPECT_GT(rs.messages, 0U);
   }
 
@@ -206,7 +196,7 @@ TEST(TraceDeterminism, EveryInstrumentedLayerAppearsInTheTrace) {
   using obs::TraceCategory;
   using obs::TraceCode;
   EXPECT_TRUE(tl.first(TraceCategory::kQueue).has_value());          // sim enqueue
-  EXPECT_TRUE(tl.first(TraceCategory::kDrop).has_value());           // attacker drops
+  EXPECT_TRUE(tl.first(TraceCategory::kDrop, TraceCode::kDropMalicious).has_value());
   EXPECT_TRUE(tl.first(TraceCategory::kRoute, TraceCode::kSpfRun).has_value());
   EXPECT_TRUE(tl.first(TraceCategory::kRoute, TraceCode::kLinkDown).has_value());
   EXPECT_TRUE(tl.first(TraceCategory::kRoute, TraceCode::kLinkUp).has_value());
@@ -215,11 +205,6 @@ TEST(TraceDeterminism, EveryInstrumentedLayerAppearsInTheTrace) {
   EXPECT_TRUE(tl.first(TraceCategory::kRound, TraceCode::kRoundInvalidated).has_value());
   EXPECT_TRUE(tl.first(TraceCategory::kExchange, TraceCode::kExchangeSend).has_value());
   EXPECT_TRUE(tl.first(TraceCategory::kSuspicion).has_value());
-  // Registry saw the sim hot path.
-  EXPECT_GT(metrics.counter_value("sim.enqueued"), 0U);
-  EXPECT_GT(metrics.counter_value("sim.forwarded"), 0U);
-  EXPECT_GT(metrics.counter_value("sim.drop.malicious"), 0U);
-  EXPECT_GT(metrics.counter_value("routing.spf_runs"), 0U);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <set>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/install.hpp"
 #include "routing/spf.hpp"
@@ -449,9 +448,8 @@ struct AbileneCounts {
 /// forward tap and a local handler on every router (the summary-generator
 /// attachment shape), and ten 2,000 pps CBR flows of 960 B payloads over
 /// five coast-to-coast and regional pairs, both ways, from 0.01 s to 10 s.
-/// Runs to 11 s; a non-null `sink` or `metrics` is attached for the run.
-AbileneCounts run_abilene_no_attack(obs::TraceSink* sink = nullptr,
-                                    obs::MetricsRegistry* metrics = nullptr) {
+/// Runs to 11 s; a non-null `sink` is attached for the run.
+AbileneCounts run_abilene_no_attack(obs::TraceSink* sink = nullptr) {
   Network net{20260805};
   for (NodeId n = 0; n <= routing::kNewYork; ++n) net.add_router(routing::abilene_name(n));
   for (const auto& l : routing::abilene_links()) {
@@ -466,7 +464,7 @@ AbileneCounts run_abilene_no_attack(obs::TraceSink* sink = nullptr,
   for (NodeId n = 0; n <= routing::kNewYork; ++n) {
     net.router(n).set_processing_delay(Duration::micros(20), Duration::micros(10));
   }
-  if (sink != nullptr || metrics != nullptr) net.attach_observability(sink, metrics);
+  net.sim().set_trace(sink);
 
   AbileneCounts out;
   for (NodeId n = 0; n <= routing::kNewYork; ++n) {
@@ -511,16 +509,14 @@ TEST(Network, AbileneNoAttackMatchesSeedEngineCounts) {
   EXPECT_EQ(plain.dispatched, kSeedDispatched);
 
 #if FATIH_TRACE
-  // Observation never perturbs: with a sink and a registry attached the
-  // run reproduces the same counts, and both record something.
+  // Observation never perturbs: with a sink attached the run reproduces
+  // the same counts, and the sink records something.
   obs::TraceSink sink;
-  obs::MetricsRegistry metrics;
-  const AbileneCounts traced = run_abilene_no_attack(&sink, &metrics);
+  const AbileneCounts traced = run_abilene_no_attack(&sink);
   EXPECT_EQ(traced.forwarded, kSeedForwarded);
   EXPECT_EQ(traced.delivered, kSeedDelivered);
   EXPECT_EQ(traced.dispatched, kSeedDispatched);
   EXPECT_GT(sink.offered(), 0U);
-  EXPECT_GT(metrics.counter_value("sim.enqueued"), 0U);
 #endif  // FATIH_TRACE
 }
 
