@@ -21,7 +21,6 @@
 #include "detection/pik2.hpp"
 #include "detection/route_epochs.hpp"
 #include "detection/spec.hpp"
-#include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "routing/link_state.hpp"
@@ -67,8 +66,7 @@ Outcome run() {
   tcfg.enabled[static_cast<std::size_t>(obs::TraceCategory::kQueue)] = false;
   tcfg.enabled[static_cast<std::size_t>(obs::TraceCategory::kDrop)] = false;
   obs::TraceSink sink(tcfg);
-  obs::MetricsRegistry metrics;
-  net.attach_observability(&sink, &metrics);
+  net.sim().set_trace(&sink);
   for (NodeId n = 0; n <= kNewYork; ++n) net.add_router(abilene_name(n));
   for (const auto& l : abilene_links()) {
     sim::LinkConfig link;

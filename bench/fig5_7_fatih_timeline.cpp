@@ -21,7 +21,6 @@
 
 #include "attacks/attacks.hpp"
 #include "fatih/fatih.hpp"
-#include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "routing/topologies.hpp"
@@ -50,8 +49,7 @@ int main() {
   tcfg.enabled[static_cast<std::size_t>(obs::TraceCategory::kQueue)] = false;
   tcfg.enabled[static_cast<std::size_t>(obs::TraceCategory::kDrop)] = false;
   obs::TraceSink sink(tcfg);
-  obs::MetricsRegistry metrics;
-  net.attach_observability(&sink, &metrics);
+  net.sim().set_trace(&sink);
   for (NodeId n = 0; n <= routing::kNewYork; ++n) net.add_router(routing::abilene_name(n));
   for (const auto& l : routing::abilene_links()) {
     sim::LinkConfig link;

@@ -107,7 +107,7 @@ void BM_FloodHop(benchmark::State& state) {
   sim::Network net{1};
   for (util::NodeId r = 0; r < 4; ++r) net.add_router(util::node_name(r));
   const crypto::KeyRegistry keys{7};
-  const detection::ControlGuard guard(net, keys, obs::TraceSource::kPi2, "bench");
+  const detection::ControlGuard guard(net, keys, obs::TraceSource::kPi2);
   detection::SegmentSummary summary;
   summary.reporter = 1;
   summary.segment = routing::PathSegment{0, 1, 2};

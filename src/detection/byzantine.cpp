@@ -1,7 +1,5 @@
 #include "detection/byzantine.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace fatih::detection {
 
 const char* to_string(ControlVerdict v) {
@@ -17,8 +15,8 @@ const char* to_string(ControlVerdict v) {
 }
 
 ControlGuard::ControlGuard(sim::Network& net, const crypto::KeyRegistry& keys,
-                           obs::TraceSource source, std::string metric_prefix)
-    : net_(net), keys_(keys), source_(source), metric_prefix_(std::move(metric_prefix)) {
+                           obs::TraceSource source)
+    : net_(net), keys_(keys), source_(source) {
   signing_keys_.reserve(net_.node_count());
   for (util::NodeId n = 0; n < net_.node_count(); ++n) {
     signing_keys_.push_back(keys_.signing_key(n));
@@ -79,11 +77,7 @@ ControlVerdict ControlGuard::admit_round(std::int64_t round, std::int64_t closed
   return ControlVerdict::kOk;
 }
 
-void ControlGuard::accept() {
-  ++stats_.accepted;
-  FATIH_METRIC_REG(net_.sim().metrics(),
-                   counter("byzantine." + metric_prefix_ + ".accepted").inc());
-}
+void ControlGuard::accept() { ++stats_.accepted; }
 
 void ControlGuard::reject([[maybe_unused]] util::NodeId at,
                           [[maybe_unused]] util::NodeId from,
@@ -101,8 +95,6 @@ void ControlGuard::reject([[maybe_unused]] util::NodeId at,
                    byzantine(net_.sim().now(), source_, obs::TraceCode::kControlRejected, at,
                              from, round, static_cast<std::uint64_t>(v),
                              note != nullptr ? note : to_string(v)));
-  FATIH_METRIC_REG(net_.sim().metrics(),
-                   counter("byzantine." + metric_prefix_ + ".rejected." + to_string(v)).inc());
 }
 
 }  // namespace fatih::detection

@@ -5,7 +5,7 @@
 // the key registry, strict canonical decode (messages.hpp from_bytes), a
 // signer/reporter identity match, and a monotone round watermark that
 // rejects stale replays and far-future rounds. Rejected messages are
-// dropped, counted (byzantine.* metrics), traced (kByzantine category) and
+// dropped, counted (ByzantineStats), traced (kByzantine category) and
 // — where the rejection is attributable — converted into sender suspicion
 // by the calling engine. Rounds never stall on a rejection: evaluation
 // proceeds on whatever verified summaries arrived.
@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "crypto/mac.hpp"
@@ -34,8 +33,8 @@ enum class ControlVerdict : std::uint8_t {
 };
 [[nodiscard]] const char* to_string(ControlVerdict v);
 
-/// Verification counters, mirrored into the metrics registry as
-/// byzantine.<prefix>.*.
+/// Verification counters; each rejection is also traced as a
+/// kControlRejected event whose value is the verdict.
 struct ByzantineStats {
   std::uint64_t accepted = 0;
   std::uint64_t rejected_bad_mac = 0;
@@ -55,11 +54,9 @@ struct ByzantineStats {
 /// counted and traced uniformly.
 class ControlGuard {
  public:
-  /// `source` tags the trace events; `metric_prefix` scopes the metric
-  /// names ("pi2" -> "byzantine.pi2.rejected.bad-mac", ...). The signing
-  /// keys of the network's nodes are looked up here, once.
-  ControlGuard(sim::Network& net, const crypto::KeyRegistry& keys, obs::TraceSource source,
-               std::string metric_prefix);
+  /// `source` tags the trace events. The signing keys of the network's
+  /// nodes are looked up here, once.
+  ControlGuard(sim::Network& net, const crypto::KeyRegistry& keys, obs::TraceSource source);
 
   /// Decode-and-verify primitives. On any failure the optional stays empty
   /// and the verdict names the first check that failed; the caller then
@@ -106,7 +103,6 @@ class ControlGuard {
   /// shard workers may read it concurrently.
   std::vector<crypto::SipKey> signing_keys_;
   obs::TraceSource source_;
-  std::string metric_prefix_;
   ByzantineStats stats_;
 };
 

@@ -224,7 +224,7 @@ void Pik2Engine::evaluate(std::int64_t round) {
         const std::vector<std::uint64_t> local(own_elems.begin(), own_elems.end());
         const auto points = validation::evaluation_points(config_.reconcile_bound + 4);
         const auto result = validation::reconcile(
-            net_.sim().metrics(), local, peer_it->second.recon_evals,
+            local, peer_it->second.recon_evals,
             static_cast<std::size_t>(peer_it->second.counters.packets), points,
             config_.reconcile_bound);
         bool ok = false;  // a difference beyond the bound is always suspicious

@@ -74,7 +74,6 @@ void ReliableChannel::send(util::NodeId from, util::NodeId to,
   FATIH_TRACE_EMIT(net_.sim().trace(),
                    exchange(net_.sim().now(), obs::TraceSource::kReliable,
                             obs::TraceCode::kExchangeSend, from, to, -1, std::get<2>(key)));
-  FATIH_METRIC_REG(net_.sim().metrics(), counter("reliable.messages").inc());
   transmit(key, p);
   arm_timer(key, p);
 }
@@ -90,7 +89,6 @@ void ReliableChannel::transmit(const PendingKey& key, Pending& p) {
   ++p.attempts;
   p.last_sent = net_.sim().now();
   ++stats_.transmissions;
-  FATIH_METRIC_REG(net_.sim().metrics(), counter("reliable.transmissions").inc());
   stats_.payload_bytes += sim::kHeaderBytes + p.wire_bytes;
   emit(std::get<0>(key), std::get<1>(key), p.payload, p.wire_bytes, p.via);
 }
@@ -111,7 +109,6 @@ void ReliableChannel::on_timeout(const PendingKey& key) {
                      exchange(net_.sim().now(), obs::TraceSource::kReliable,
                               obs::TraceCode::kExchangeFailed, std::get<0>(key),
                               std::get<1>(key), -1, std::get<2>(key)));
-    FATIH_METRIC_REG(net_.sim().metrics(), counter("reliable.failures").inc());
     auto payload = p.payload;
     pending_.erase(it);
     if (failure_fn_) {
@@ -125,7 +122,6 @@ void ReliableChannel::on_timeout(const PendingKey& key) {
                    exchange(net_.sim().now(), obs::TraceSource::kReliable,
                             obs::TraceCode::kExchangeRetransmit, std::get<0>(key),
                             std::get<1>(key), -1, p.attempts));
-  FATIH_METRIC_REG(net_.sim().metrics(), counter("reliable.retransmits").inc());
   p.rto = std::min(p.rto.scaled(config_.backoff), config_.max_rto);
   transmit(key, p);
   arm_timer(key, p);
@@ -141,12 +137,10 @@ void ReliableChannel::on_message(util::NodeId at, const sim::Packet& p) {
   ack->acker = at;
   ack->tag = ack_tag(keys_, kind_, key, at, p.hdr.src);
   ++stats_.acks_sent;
-  FATIH_METRIC_REG(net_.sim().metrics(), counter("reliable.acks_sent").inc());
   stats_.ack_bytes += sim::kHeaderBytes + config_.ack_bytes;
   emit(at, p.hdr.src, std::move(ack), config_.ack_bytes, Via::kRouted);
   if (!seen_[at].insert(key).second) {
     ++stats_.duplicates;
-    FATIH_METRIC_REG(net_.sim().metrics(), counter("reliable.duplicates").inc());
     return;
   }
   if (delivery_fn_) delivery_fn_(at, *p.control, net_.sim().now());
@@ -159,7 +153,6 @@ void ReliableChannel::on_ack(util::NodeId at, const ControlAckPayload& ack) {
   // settle an exchange the forger was not a party to.
   if (ack.tag != ack_tag(keys_, kind_, ack.msg_key, ack.acker, at)) {
     ++stats_.acks_rejected;
-    FATIH_METRIC_REG(net_.sim().metrics(), counter("reliable.acks_rejected").inc());
     FATIH_TRACE_EMIT(net_.sim().trace(),
                      byzantine(net_.sim().now(), obs::TraceSource::kReliable,
                                obs::TraceCode::kControlRejected, at, ack.acker, -1,
@@ -173,7 +166,6 @@ void ReliableChannel::on_ack(util::NodeId at, const ControlAckPayload& ack) {
   FATIH_TRACE_EMIT(net_.sim().trace(),
                    exchange(net_.sim().now(), obs::TraceSource::kReliable,
                             obs::TraceCode::kExchangeAck, at, ack.acker, -1, ack.msg_key));
-  FATIH_METRIC_REG(net_.sim().metrics(), counter("reliable.acks_received").inc());
   // Karn's rule: only first-transmission acks yield an unambiguous sample.
   if (!p.retransmitted) sample_rtt(at, ack.acker, net_.sim().now() - p.last_sent);
   net_.sim().cancel(p.timer);

@@ -5,7 +5,6 @@
 
 #include "detection/evidence.hpp"
 #include "detection/reliable.hpp"
-#include "obs/metrics.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 
@@ -17,7 +16,7 @@ RoundDriver::RoundDriver(sim::Network& net, const crypto::KeyRegistry& keys,
     : net_(net),
       keys_(keys),
       paths_(paths),
-      guard_(net, keys, source, name),
+      guard_(net, keys, source),
       clock_(clock),
       rounds_(rounds),
       source_(source),
@@ -56,7 +55,6 @@ void RoundDriver::open_round([[maybe_unused]] std::int64_t round) {
   ++counters_.rounds_opened;
   FATIH_TRACE_EMIT(net_.sim().trace(), round_event(net_.sim().now(), source_,
                                                    obs::TraceCode::kRoundOpen, round));
-  FATIH_METRIC_REG(net_.sim().metrics(), counter(std::string(name_) + ".rounds_opened").inc());
 }
 
 void RoundDriver::invalidate([[maybe_unused]] std::int64_t round, std::uint64_t count) {
@@ -65,8 +63,6 @@ void RoundDriver::invalidate([[maybe_unused]] std::int64_t round, std::uint64_t 
   FATIH_TRACE_EMIT(net_.sim().trace(),
                    round_event(net_.sim().now(), source_, obs::TraceCode::kRoundInvalidated,
                                round, count));
-  FATIH_METRIC_REG(net_.sim().metrics(),
-                   counter(std::string(name_) + ".rounds_invalidated").inc(count));
 }
 
 void RoundDriver::close_round(std::int64_t round) {
@@ -74,8 +70,6 @@ void RoundDriver::close_round(std::int64_t round) {
   ++counters_.rounds_evaluated;
   FATIH_TRACE_EMIT(net_.sim().trace(), round_event(net_.sim().now(), source_,
                                                    obs::TraceCode::kRoundClose, round));
-  FATIH_METRIC_REG(net_.sim().metrics(),
-                   counter(std::string(name_) + ".rounds_evaluated").inc());
 }
 
 bool RoundDriver::churned(std::int64_t round) const {
@@ -96,7 +90,6 @@ void RoundDriver::raise(util::NodeId reporter, const routing::PathSegment& segme
   FATIH_TRACE_EMIT(net_.sim().trace(),
                    suspicion(net_.sim().now(), source_, reporter, segment.front(),
                              segment.back(), segment.length(), round, confidence, cause));
-  FATIH_METRIC_REG(net_.sim().metrics(), counter(std::string(name_) + ".suspicions").inc());
   suspicions_.push_back(std::move(s));
   if (handler_) handler_(suspicions_.back());
   if (conviction_ != nullptr) {
@@ -118,8 +111,6 @@ void RoundDriver::equivocation(util::NodeId at, std::int64_t round,
   FATIH_TRACE_EMIT(net_.sim().trace(),
                    byzantine(net_.sim().now(), source_, obs::TraceCode::kEquivocationProven, at,
                              second.signer, round, detail, note));
-  FATIH_METRIC_REG(net_.sim().metrics(),
-                   counter("byzantine." + std::string(name_) + ".equivocations").inc());
   if (file) {
     conviction_->accuse(at, static_cast<std::uint8_t>(source_),
                         routing::PathSegment{second.signer}, round, "equivocation",

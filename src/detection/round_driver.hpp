@@ -4,8 +4,8 @@
 // collect traffic information for an interval τ, ship it signed, evaluate
 // it, then suspect a segment. RoundDriver owns everything around that
 // round: the clock and round limit, the Π2/Πk+2 round chain, the
-// anti-replay watermark and ControlGuard, DetectorCounters mirrored into
-// trace and metrics, the churn predicate, raising suspicions, and the head
+// anti-replay watermark and ControlGuard, DetectorCounters recorded in
+// the trace, the churn predicate, raising suspicions, and the head
 // and tail of state_fingerprint(). An engine derives from it and keeps its
 // collect/ship and evaluate code, its stores, and its own suspicion dedup
 // rule where that differs.
@@ -87,7 +87,7 @@ class RoundDriver {
   [[nodiscard]] const DetectorCounters& counters() const { return counters_; }
 
  protected:
-  /// `name` prefixes the log lines and metrics ("<name>.rounds_opened").
+  /// `name` prefixes the log lines.
   RoundDriver(sim::Network& net, const crypto::KeyRegistry& keys, const PathCache& paths,
               RoundClock clock, std::int64_t rounds, obs::TraceSource source, const char* name);
   ~RoundDriver() = default;
@@ -108,7 +108,7 @@ class RoundDriver {
   [[nodiscard]] ControlVerdict admit_round(std::int64_t round,
                                            std::int64_t* margin = nullptr) const;
 
-  /// Round accounting, mirrored into the trace and "<name>.*" metrics.
+  /// Round accounting, each step counted and traced.
   /// close_round() also raises the anti-replay watermark.
   void open_round(std::int64_t round);
   void invalidate(std::int64_t round, std::uint64_t count);

@@ -37,8 +37,9 @@ using SuspicionHandler = std::function<void(const Suspicion&)>;
 
 /// Uniform introspection snapshot every engine (pi2, pik2, chi) exposes as
 /// `counters()`. One struct with one set of names so tests and benches read
-/// any engine the same way; engines also mirror these into the attached
-/// MetricsRegistry under "<engine>.<field>".
+/// any engine the same way; each counted step is also a trace event of the
+/// engine's TraceSource (kRoundOpen, kRoundClose, kRoundInvalidated,
+/// kSuspicionRaised).
 struct DetectorCounters {
   /// Rounds whose evaluation was scheduled (round timer fired).
   std::uint64_t rounds_opened = 0;

@@ -26,9 +26,9 @@
 #include "util/time.hpp"
 #include "util/types.hpp"
 
-// Compile-time gate for all trace/metrics instrumentation in the hot
-// paths. Defaults on; configure with -DFATIH_TRACE=0 (CMake option
-// FATIH_TRACE) to compile every touch-point out entirely.
+// Compile-time gate for all trace instrumentation in the hot paths.
+// Defaults on; configure with -DFATIH_TRACE=0 (CMake option FATIH_TRACE)
+// to compile every touch-point out entirely.
 #ifndef FATIH_TRACE
 #define FATIH_TRACE 1
 #endif

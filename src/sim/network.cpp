@@ -133,27 +133,6 @@ Host& Network::host(util::NodeId id) {
 
 bool Network::is_router(util::NodeId id) const { return node_is_router_.at(id); }
 
-void Network::attach_observability(obs::TraceSink* trace, obs::MetricsRegistry* metrics) {
-  sim_.set_trace(trace);
-  sim_.set_metrics(metrics);
-  obs::PacketCounters& pc = sim_.packet_counters();
-  pc = obs::PacketCounters{};
-  if (metrics == nullptr) return;
-  // Index order mirrors sim::DropReason (asserted in tests/obs).
-  static constexpr const char* kDropNames[obs::PacketCounters::kDropKinds] = {
-      "sim.drop.congestion", "sim.drop.red_early",  "sim.drop.malicious",
-      "sim.drop.ttl_expired", "sim.drop.no_route",  "sim.drop.link_fault",
-      "sim.drop.link_down",   "sim.drop.node_down",
-  };
-  for (std::size_t i = 0; i < obs::PacketCounters::kDropKinds; ++i) {
-    pc.drops[i] = &metrics->counter(kDropNames[i]);
-  }
-  pc.enqueued = &metrics->counter("sim.enqueued");
-  pc.transmitted = &metrics->counter("sim.transmitted");
-  pc.forwarded = &metrics->counter("sim.forwarded");
-  pc.queue_fill = &metrics->ewma("sim.queue.fill_ewma", 0.05);
-}
-
 Packet Network::make_packet(PacketHeader hdr, std::uint32_t payload_bytes) {
   Packet p;
   p.hdr = hdr;

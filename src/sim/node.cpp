@@ -77,12 +77,9 @@ EnqueueResult Interface::send(Packet&& p) {
 /// queue is empty, so the post-enqueue depth is exactly p.size_bytes.
 void Interface::note_pass_through(const Packet& p) {
   last_admit_depth_bytes_ = p.size_bytes;
-  [[maybe_unused]] obs::PacketCounters& pc = sim_.packet_counters();
   [[maybe_unused]] const auto limit = queue_->byte_limit();
   [[maybe_unused]] const double fill =
       limit == 0 ? 0.0 : static_cast<double>(p.size_bytes) / static_cast<double>(limit);
-  FATIH_METRIC(pc.enqueued, inc());
-  FATIH_METRIC(pc.queue_fill, add(fill));
   FATIH_TRACE_EMIT(sim_.trace(),
                    queue_depth(sim_.now(), owner_.id(), peer_, p.size_bytes, fill));
   for (const auto& tap : enqueue_taps_) tap(p, sim_.now());
@@ -94,9 +91,6 @@ EnqueueResult Interface::send_slow(const Packet& p) {
     case EnqueueResult::kAccepted: {
       ++queued_packets_;
       last_admit_depth_bytes_ = queue_->byte_length();
-      [[maybe_unused]] obs::PacketCounters& pc = sim_.packet_counters();
-      FATIH_METRIC(pc.enqueued, inc());
-      FATIH_METRIC(pc.queue_fill, add(fill_fraction()));
       FATIH_TRACE_EMIT(sim_.trace(), queue_depth(sim_.now(), owner_.id(), peer_,
                                                  queue_->byte_length(), fill_fraction()));
       for (const auto& tap : enqueue_taps_) tap(p, sim_.now());
@@ -133,7 +127,6 @@ void Interface::set_up(bool up) {
 }
 
 void Interface::notify_drop(const Packet& p, DropReason reason) {
-  FATIH_METRIC(sim_.packet_counters().drops[static_cast<std::size_t>(reason)], inc());
   FATIH_TRACE_EMIT(sim_.trace(),
                    drop(sim_.now(), drop_code(reason), owner_.id(), peer_, p.uid));
   for (const auto& tap : drop_taps_) tap(p, sim_.now(), reason);
@@ -159,8 +152,6 @@ void Interface::send_batch(std::span<const Packet> batch, EnqueueResult* results
         ++queued_packets_;
         admit_depth += p.size_bytes;  // depth this packet saw, admission order
         last_admit_depth_bytes_ = admit_depth;
-        [[maybe_unused]] obs::PacketCounters& pc = sim_.packet_counters();
-        FATIH_METRIC(pc.enqueued, inc());
         for (const auto& tap : enqueue_taps_) tap(p, sim_.now());
         break;
       }
@@ -178,8 +169,6 @@ void Interface::send_batch(std::span<const Packet> batch, EnqueueResult* results
   if (any_accepted) {
     // One depth sample for the whole batch: the packets were admitted at a
     // single instant, so per-packet intermediate depths never existed.
-    [[maybe_unused]] obs::PacketCounters& pc = sim_.packet_counters();
-    FATIH_METRIC(pc.queue_fill, add(fill_fraction()));
     FATIH_TRACE_EMIT(sim_.trace(), queue_depth(sim_.now(), owner_.id(), peer_,
                                                queue_->byte_length(), fill_fraction()));
     try_transmit();
@@ -257,7 +246,6 @@ void Interface::complete_propagation(Packet&& p, std::uint64_t epoch) {
 
 void Interface::start_transmit(Packet p) {
   busy_ = true;
-  FATIH_METRIC(sim_.packet_counters().transmitted, inc());
   for (const auto& tap : transmit_taps_) tap(p, sim_.now());
   // Serialization time for a given size is a pure function of the link;
   // macro workloads send one packet size almost exclusively, so a
@@ -434,7 +422,6 @@ void Router::do_forward(Packet p, util::NodeId prev) {
     if (decision.extra_delay > util::Duration{}) {
       const auto d = decision.extra_delay;
       sim_.schedule_in(d, [this, p = std::move(p), prev, out_iface]() mutable {
-        FATIH_METRIC(sim_.packet_counters().forwarded, inc());
         for (const auto& tap : forward_taps_) tap(p, prev, out_iface, sim_.now());
         interfaces_[out_iface]->send(std::move(p));
       });
@@ -442,13 +429,11 @@ void Router::do_forward(Packet p, util::NodeId prev) {
     }
   }
 
-  FATIH_METRIC(sim_.packet_counters().forwarded, inc());
   for (const auto& tap : forward_taps_) tap(p, prev, out_iface, sim_.now());
   interfaces_[out_iface]->send(std::move(p));
 }
 
 void Router::notify_router_drop(const Packet& p, DropReason reason) {
-  FATIH_METRIC(sim_.packet_counters().drops[static_cast<std::size_t>(reason)], inc());
   FATIH_TRACE_EMIT(sim_.trace(),
                    drop(sim_.now(), drop_code(reason), id_, util::kInvalidNode, p.uid));
   for (const auto& tap : drop_taps_) tap(p, sim_.now(), reason);

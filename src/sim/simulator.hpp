@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/time.hpp"
 
@@ -172,16 +171,11 @@ class Simulator {
   /// state without serializing callables.
   [[nodiscard]] std::uint64_t pending_fingerprint() const;
 
-  /// Observability attach points. Every layer reaches the simulator, so
-  /// the trace sink and metrics registry hang here; null = disabled at
-  /// runtime (instrumented call sites pay one load + branch). Prefer
-  /// Network::attach_observability, which also pre-resolves the per-packet
-  /// counter handles.
+  /// Observability attach point. Every layer reaches the simulator, so
+  /// the trace sink hangs here; null = disabled at runtime (instrumented
+  /// call sites pay one load + branch). The sink must outlive the run.
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
   [[nodiscard]] obs::TraceSink* trace() const { return trace_; }
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-  [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
-  [[nodiscard]] obs::PacketCounters& packet_counters() { return packet_counters_; }
 
   /// Callables at most this large (and max_align_t-aligned) are stored in
   /// the record itself. Sized to fit a lambda capturing a Packet plus a
@@ -448,8 +442,6 @@ class Simulator {
   std::uint32_t firing_slot_ = kNilSlot;
 
   obs::TraceSink* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::PacketCounters packet_counters_;
   ShardLane* shard_lane_ = nullptr;
 
   std::vector<std::unique_ptr<EventRecord[]>> chunks_;

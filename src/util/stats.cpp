@@ -42,17 +42,6 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-Ewma::Ewma(double alpha) : alpha_(alpha) { assert(alpha > 0.0 && alpha <= 1.0); }
-
-void Ewma::add(double x) {
-  if (n_ == 0) {
-    v_ = x;
-  } else {
-    v_ += alpha_ * (x - v_);
-  }
-  ++n_;
-}
-
 double normal_cdf(double z) { return 0.5 * (1.0 + std::erf(z / std::sqrt(2.0))); }
 
 double normal_cdf(double x, double mean, double stddev) {

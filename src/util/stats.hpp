@@ -36,27 +36,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Exponentially-weighted moving average: v <- (1-alpha)*v + alpha*x.
-/// The first sample initializes the average directly (no zero-bias warmup).
-/// Used by the metrics registry for smoothed gauges (queue fill, RTT).
-class Ewma {
- public:
-  /// Requires alpha in (0, 1].
-  explicit Ewma(double alpha);
-
-  void add(double x);
-
-  /// 0 before the first sample; see count() to distinguish.
-  [[nodiscard]] double value() const { return v_; }
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double alpha() const { return alpha_; }
-
- private:
-  double alpha_;
-  double v_ = 0.0;
-  std::size_t n_ = 0;
-};
-
 /// Standard normal cumulative distribution function Phi(z).
 [[nodiscard]] double normal_cdf(double z);
 

@@ -316,21 +316,4 @@ std::optional<ReconcileResult> reconcile(std::span<const std::uint64_t> local,
   return std::nullopt;
 }
 
-std::optional<ReconcileResult> reconcile([[maybe_unused]] obs::MetricsRegistry* metrics,
-                                         std::span<const std::uint64_t> local,
-                                         std::span<const std::uint64_t> remote_evals,
-                                         std::size_t remote_count,
-                                         std::span<const std::uint64_t> points,
-                                         std::size_t d_bound) {
-  auto result = reconcile(local, remote_evals, remote_count, points, d_bound);
-  FATIH_METRIC_REG(metrics, counter("reconcile.calls").inc());
-  if (!result.has_value()) {
-    FATIH_METRIC_REG(metrics, counter("reconcile.beyond_bound").inc());
-  } else {
-    FATIH_METRIC_REG(metrics, counter("reconcile.diff_elements")
-                                  .inc(result->only_local.size() + result->only_remote.size()));
-  }
-  return result;
-}
-
 }  // namespace fatih::validation

@@ -17,8 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace fatih::validation {
 
 /// Arithmetic in GF(p), p = 2^61 - 1.
@@ -65,14 +63,6 @@ struct ReconcileResult {
                                                        std::size_t remote_count,
                                                        std::span<const std::uint64_t> points,
                                                        std::size_t d_bound);
-
-/// Instrumented form: same computation, but counts outcomes into `metrics`
-/// when one is attached ("reconcile.calls", "reconcile.beyond_bound",
-/// "reconcile.diff_elements"). Null registry = plain call.
-[[nodiscard]] std::optional<ReconcileResult> reconcile(
-    obs::MetricsRegistry* metrics, std::span<const std::uint64_t> local,
-    std::span<const std::uint64_t> remote_evals, std::size_t remote_count,
-    std::span<const std::uint64_t> points, std::size_t d_bound);
 
 /// All roots (in GF(p)) of a polynomial given by coefficients
 /// [c0, c1, ..., 1] (monic, degree = coeffs.size() - 1), provided it

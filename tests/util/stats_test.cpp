@@ -63,41 +63,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 1.0);
 }
 
-TEST(Ewma, FirstSampleInitializesDirectly) {
-  Ewma e(0.1);
-  EXPECT_EQ(e.count(), 0U);
-  EXPECT_DOUBLE_EQ(e.value(), 0.0);
-  e.add(5.0);
-  // No zero-bias warmup: the first sample IS the average.
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
-  EXPECT_EQ(e.count(), 1U);
-  EXPECT_DOUBLE_EQ(e.alpha(), 0.1);
-}
-
-TEST(Ewma, FollowsRecursion) {
-  Ewma e(0.25);
-  e.add(4.0);
-  e.add(8.0);  // 0.75*4 + 0.25*8 = 5
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
-  e.add(5.0);  // already at 5: fixed point
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
-  EXPECT_EQ(e.count(), 3U);
-}
-
-TEST(Ewma, ConvergesToConstantInput) {
-  Ewma e(0.2);
-  e.add(0.0);
-  for (int i = 0; i < 200; ++i) e.add(10.0);
-  EXPECT_NEAR(e.value(), 10.0, 1e-9);
-}
-
-TEST(Ewma, AlphaOneTracksLastSample) {
-  Ewma e(1.0);
-  e.add(3.0);
-  e.add(-7.5);
-  EXPECT_DOUBLE_EQ(e.value(), -7.5);
-}
-
 TEST(NormalCdf, StandardValues) {
   EXPECT_NEAR(normal_cdf(0.0), 0.5, 1e-12);
   EXPECT_NEAR(normal_cdf(1.0), 0.8413447, 1e-6);
