@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -87,9 +86,6 @@ class ConvictionEngine {
   [[nodiscard]] const std::vector<Conviction>& convictions() const { return convictions_; }
   [[nodiscard]] bool convicted(util::NodeId r) const { return convicted_.contains(r); }
 
-  using Handler = std::function<void(const Conviction&)>;
-  void set_handler(Handler h) { handler_ = std::move(h); }
-
   /// Valid accusations admitted to the ledger (post-dedup).
   [[nodiscard]] std::uint64_t accusations_accepted() const { return accusations_accepted_; }
   [[nodiscard]] const ByzantineStats& stats() const { return guard_.stats(); }
@@ -111,7 +107,6 @@ class ConvictionEngine {
   util::FlatSet<util::NodeId> convicted_;
   std::vector<Conviction> convictions_;
   std::uint64_t accusations_accepted_ = 0;
-  Handler handler_;
 };
 
 }  // namespace fatih::detection

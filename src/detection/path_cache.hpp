@@ -76,10 +76,6 @@ class PathCache {
     return hop_after(path_at(src, dst, when), at);
   }
 
-  [[nodiscard]] const routing::RoutingTables& tables_at(util::SimTime when) const {
-    return *epoch_at(when).tables;
-  }
-
   /// True iff the forwarding path src -> dst was one settled path over the
   /// whole of [begin, end): no epoch transition whose window
   /// [unstable_from, start) intersects the interval changed it.

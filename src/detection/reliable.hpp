@@ -138,7 +138,6 @@ class ReliableChannel {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const ReliableConfig& config() const { return config_; }
-  [[nodiscard]] std::uint16_t control_kind() const { return kind_; }
 
  private:
   /// (sender, destination, message key).

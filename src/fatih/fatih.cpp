@@ -22,7 +22,6 @@ void FatihSystem::commission(std::shared_ptr<const routing::RoutingTables> table
     // Response (§2.4.3): flood the signed alert; every correct router
     // excludes the suspected path-segment from its routing fabric.
     routing_.announce_suspicion(s.reporter, s.segment, s.interval);
-    if (observer_) observer_(s);
   });
   engine_->start();
   util::log(util::LogLevel::kInfo, "fatih", "commissioned: tau=%s k=%zu",

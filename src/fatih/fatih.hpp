@@ -47,9 +47,6 @@ class FatihSystem {
     return engine_->suspicions();
   }
 
-  /// Extra observer invoked on every suspicion (benches/timelines).
-  void set_suspicion_observer(detection::SuspicionHandler h) { observer_ = std::move(h); }
-
  private:
   sim::Network& net_;
   const crypto::KeyRegistry& keys_;
@@ -60,7 +57,6 @@ class FatihSystem {
   // Retired engines are parked (their taps remain registered on routers).
   std::vector<std::unique_ptr<detection::Pik2Engine>> retired_;
   std::vector<std::unique_ptr<detection::PathCache>> retired_paths_;
-  detection::SuspicionHandler observer_;
 };
 
 /// Round-trip-time prober between two routers (the latency trace plotted

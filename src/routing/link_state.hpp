@@ -115,11 +115,6 @@ class LinkStateRouting {
   void add_route_change_hook(RouteChangeHook hook) {
     route_change_hooks_.push_back(std::move(hook));
   }
-  void set_route_change_hook(RouteChangeHook hook) { add_route_change_hook(std::move(hook)); }
-
-  /// Invoked when a router accepts an alert (before the SPF that applies it).
-  using AlertHook = std::function<void(util::NodeId router, const AlertPayload&, util::SimTime)>;
-  void set_alert_hook(AlertHook hook) { alert_hook_ = std::move(hook); }
 
   /// Protocol-fault injection: router r's daemon stops re-flooding LSAs
   /// and alerts (it still receives). Robust flooding must survive this as
@@ -183,7 +178,6 @@ class LinkStateRouting {
   std::set<util::NodeId> suppressed_;
   std::vector<Daemon> daemons_;
   std::vector<RouteChangeHook> route_change_hooks_;
-  AlertHook alert_hook_;
 };
 
 }  // namespace fatih::routing

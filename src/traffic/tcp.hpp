@@ -52,7 +52,6 @@ class TcpFlow {
   /// Time from start() to the SYN-ACK arriving; infinity if never.
   [[nodiscard]] util::Duration connect_latency() const;
   [[nodiscard]] std::uint64_t packets_acked() const { return acked_; }
-  [[nodiscard]] std::uint64_t bytes_acked() const { return acked_ * config_.mss_bytes; }
   [[nodiscard]] std::uint32_t syn_retransmits() const { return syn_retx_; }
   [[nodiscard]] std::uint32_t data_retransmits() const { return data_retx_; }
   [[nodiscard]] std::uint32_t timeouts() const { return rto_events_; }

@@ -22,8 +22,6 @@ class BloomFilter {
   void insert(Fingerprint fp);
   [[nodiscard]] bool maybe_contains(Fingerprint fp) const;
 
-  [[nodiscard]] std::size_t bit_count() const { return bits_; }
-  [[nodiscard]] std::size_t hash_count() const { return hashes_; }
   [[nodiscard]] std::size_t population() const;
   /// Wire size of the filter in bytes.
   [[nodiscard]] std::size_t byte_size() const { return words_.size() * 8; }
