@@ -205,11 +205,12 @@ void QueueValidator::on_report(const ChiReportPayload& payload) {
   // the packet is never trusted past routing. Reports arrive as routed
   // unicast, so a rejection has no hop to pin (interior forwarders are
   // opaque); it is counted, and the withheld-report consequence surfaces
-  // through missing-report at evaluation.
+  // through missing-report at evaluation. Nothing decoded, so no round is
+  // known: the convenience copy's round is whatever the sender chose.
   std::optional<ChiReport> decoded;
   if (const ControlVerdict v = guard_.check_report(payload.envelope, decoded);
       v != ControlVerdict::kOk) {
-    guard_.reject(peer_, util::kInvalidNode, payload.report.round, v, "report");
+    guard_.reject(peer_, util::kInvalidNode, -1, v, "report");
     return;
   }
   const ChiReport& rep = *decoded;
