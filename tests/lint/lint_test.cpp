@@ -257,9 +257,15 @@ TEST(R7IncludeGraph, DetectsTwoFileCycle) {
 
 TEST(R7IncludeGraph, FlagsLayeringInversion) {
   // sim/ and topo/ sit below detection/ in the module DAG, so their
-  // headers must not include detection/.
-  for (const char* path : {"src/sim/r7_layering_bad.hpp", "src/topo/r7_layering_bad.hpp"}) {
-    const Report r = lint_fixture("r7_layering_bad.hpp", path);
+  // headers must not include detection/; validation/ emits no trace
+  // events, so obs/ is not among its dependencies.
+  const std::pair<const char*, const char*> cases[] = {
+      {"r7_layering_bad.hpp", "src/sim/r7_layering_bad.hpp"},
+      {"r7_layering_bad.hpp", "src/topo/r7_layering_bad.hpp"},
+      {"r7_validation_obs.hpp", "src/validation/r7_validation_obs.hpp"},
+  };
+  for (const auto& [fixture, path] : cases) {
+    const Report r = lint_fixture(fixture, path);
     ASSERT_EQ(r.diagnostics.size(), 1u) << path << "\n" << to_text(r);
     EXPECT_EQ(r.diagnostics[0].rule, Rule::kNoIncludeCycles);
     EXPECT_EQ(r.diagnostics[0].line, 4u);

@@ -1045,7 +1045,7 @@ class Linter {
         // families forge signed detection payloads (keys + wire formats).
         {"attacks",
          {"util", "obs", "crypto", "sim", "routing", "traffic", "validation", "detection"}},
-        {"validation", {"util", "obs", "crypto", "sim"}},
+        {"validation", {"util", "crypto", "sim"}},
         {"detection",
          {"util", "obs", "crypto", "sim", "routing", "traffic", "validation"}},
         {"fatih",

@@ -1,7 +1,7 @@
 // fatih-lint — determinism and invariant static analysis.
 //
 // Every reproducibility claim this repo makes (byte-identical suspicion
-// sets, byte-identical trace/metrics artifacts, byte-identical BENCH_*
+// sets, byte-identical trace artifacts, byte-identical BENCH_*
 // regeneration) rests on the codebase never smuggling in a nondeterminism
 // source. This tool makes those invariants machine-checked: it tokenizes
 // the C++ sources (comments and string literals blanked, line structure
@@ -15,7 +15,7 @@
 //                              keyed on raw pointer values
 //   R5 no-iostream           std::cout/cerr in src/ (use util/log or the
 //                              trace sink)
-//   R6 trace-event-init      trace/metric event structs with fields that
+//   R6 trace-event-init      trace event structs with fields that
 //                              lack initializers, or partial brace-inits
 //                              (uninit bytes break byte-identical output)
 //   R7 no-include-cycles     #include cycles and module layering
