@@ -125,44 +125,6 @@ ScenarioSpec chi_base(const char* name, bool red, std::uint64_t seed) {
 
 // ------------------------------------------------- generated topologies
 
-TopoSpec ebone_topo() {
-  TopoSpec t;
-  const topo::TopoParams p = topo::ebone();
-  t.routers = p.routers;
-  t.links = p.links;
-  t.pops = p.pops;
-  t.max_degree = p.max_degree;
-  t.seed = p.seed;
-  t.intra_delay_ns = p.intra_delay_ns;
-  t.inter_delay_ns = p.inter_delay_ns;
-  return t;
-}
-
-TopoSpec sprintlink_topo() {
-  TopoSpec t;
-  const topo::TopoParams p = topo::sprintlink();
-  t.routers = p.routers;
-  t.links = p.links;
-  t.pops = p.pops;
-  t.max_degree = p.max_degree;
-  t.seed = p.seed;
-  t.intra_delay_ns = p.intra_delay_ns;
-  t.inter_delay_ns = p.inter_delay_ns;
-  return t;
-}
-
-topo::TopoParams params_of(const TopoSpec& t) {
-  topo::TopoParams p;
-  p.routers = t.routers;
-  p.links = t.links;
-  p.pops = t.pops;
-  p.max_degree = t.max_degree;
-  p.seed = t.seed;
-  p.intra_delay_ns = t.intra_delay_ns;
-  p.inter_delay_ns = t.inter_delay_ns;
-  return p;
-}
-
 /// Generated-topology base: sharded engine (4 shards by default), Pi2 or
 /// Pi(k+2) between PoP hub routers. The hub ids come from running the
 /// (deterministic) generator, so the spec stays plain data.
@@ -191,10 +153,10 @@ ScenarioSpec gen_base(const char* name, const TopoSpec& t, DetectorKind detector
 }
 
 void add_generated(std::vector<ScenarioSpec>& all) {
-  const TopoSpec ebone = ebone_topo();
-  const TopoSpec sprint = sprintlink_topo();
-  const topo::GeneratedTopology ge = topo::generate(params_of(ebone));
-  const topo::GeneratedTopology gs = topo::generate(params_of(sprint));
+  const TopoSpec ebone = topo_spec(topo::ebone());
+  const TopoSpec sprint = topo_spec(topo::sprintlink());
+  const topo::GeneratedTopology ge = topo::generate(topo_params(ebone));
+  const topo::GeneratedTopology gs = topo::generate(topo_params(sprint));
 
   all.push_back(gen_base("gen_ebone_pik2_clean", ebone, DetectorKind::kPik2, ge, 31,
                          3 * kSecond));
@@ -249,7 +211,7 @@ void add_generated(std::vector<ScenarioSpec>& all) {
     wide.pops = 24;
     wide.max_degree = 32;
     wide.seed = 2099;
-    const topo::GeneratedTopology gw = topo::generate(params_of(wide));
+    const topo::GeneratedTopology gw = topo::generate(topo_params(wide));
     ScenarioSpec s = gen_base("gen_wide_pik2_clean", wide, DetectorKind::kPik2, gw, 36,
                               2 * kSecond);
     s.shards = 8;

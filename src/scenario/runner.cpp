@@ -34,18 +34,6 @@ constexpr std::uint64_t kKeySeedSalt = 98765;
 /// Drain window after the traffic horizon, matching the bench harnesses.
 constexpr std::int64_t kDrainNs = 2'000'000'000;
 
-topo::TopoParams topo_params(const TopoSpec& t) {
-  topo::TopoParams p;
-  p.routers = t.routers;
-  p.links = t.links;
-  p.pops = t.pops;
-  p.max_degree = t.max_degree;
-  p.seed = t.seed;
-  p.intra_delay_ns = t.intra_delay_ns;
-  p.inter_delay_ns = t.inter_delay_ns;
-  return p;
-}
-
 std::unique_ptr<topo::GeneratedTopology> make_generated(const ScenarioSpec& s) {
   if (s.topology != TopologyKind::kGenerated) return nullptr;
   if (!topo::validate(topo_params(s.topo))) {

@@ -124,6 +124,30 @@ bool parse_enum(std::string_view s, E& out, const char* (*name)(E), E last) {
 
 }  // namespace
 
+topo::TopoParams topo_params(const TopoSpec& t) {
+  topo::TopoParams p;
+  p.routers = t.routers;
+  p.links = t.links;
+  p.pops = t.pops;
+  p.max_degree = t.max_degree;
+  p.seed = t.seed;
+  p.intra_delay_ns = t.intra_delay_ns;
+  p.inter_delay_ns = t.inter_delay_ns;
+  return p;
+}
+
+TopoSpec topo_spec(const topo::TopoParams& p) {
+  TopoSpec t;
+  t.routers = p.routers;
+  t.links = p.links;
+  t.pops = p.pops;
+  t.max_degree = p.max_degree;
+  t.seed = p.seed;
+  t.intra_delay_ns = p.intra_delay_ns;
+  t.inter_delay_ns = p.inter_delay_ns;
+  return t;
+}
+
 const char* topology_name(TopologyKind k) {
   switch (k) {
     case TopologyKind::kLine4: return "line4";

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "topo/generator.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
 
@@ -47,6 +48,12 @@ struct TopoSpec {
   std::int64_t intra_delay_ns = 200'000;    ///< intra-PoP propagation delay
   std::int64_t inter_delay_ns = 2'000'000;  ///< inter-PoP delay = shard lookahead
 };
+
+/// The generator parameters `t` names; bandwidth and queue limits keep the
+/// generator defaults.
+[[nodiscard]] topo::TopoParams topo_params(const TopoSpec& t);
+/// The spec form of `p`: its bandwidth and queue limits are dropped.
+[[nodiscard]] TopoSpec topo_spec(const topo::TopoParams& p);
 
 /// Which detection protocol the scenario commissions.
 enum class DetectorKind : std::uint8_t {
