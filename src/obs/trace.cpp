@@ -67,7 +67,6 @@ const char* to_string(TraceSource s) {
     case TraceSource::kPik2: return "pik2";
     case TraceSource::kChi: return "chi";
     case TraceSource::kReliable: return "reliable";
-    case TraceSource::kValidation: return "validation";
     case TraceSource::kBench: return "bench";
     case TraceSource::kConviction: return "conviction";
   }
@@ -91,11 +90,7 @@ TraceSink::TraceSink(TraceConfig config) : config_(config) {
 void TraceSink::emit(TraceEvent ev) {
   const auto cat = static_cast<std::size_t>(ev.category);
   if (!config_.enabled[cat]) return;
-  ++offered_;
-  const std::uint32_t n = config_.sample_every[cat];
-  if (n > 1 && (sample_counter_[cat]++ % n) != 0) return;
   ev.seq = next_seq_++;
-  ++recorded_;
   if (ring_.size() < config_.capacity) {
     ring_.push_back(ev);
     return;
@@ -234,9 +229,6 @@ void TraceSink::clear() {
   ring_.clear();
   head_ = 0;
   next_seq_ = 0;
-  offered_ = 0;
-  recorded_ = 0;
-  sample_counter_.fill(0);
 }
 
 std::string TraceSink::to_json(const TraceEvent& ev) {

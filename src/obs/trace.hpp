@@ -1,6 +1,6 @@
 // Deterministic structured trace sink.
 //
-// Every layer of the system (sim, routing, detection, validation) emits
+// Every layer of the system (sim, routing, detection) emits
 // small POD trace events into a ring-buffered TraceSink attached to the
 // Simulator. Because the engine is single-threaded and simulated time
 // never moves backward, emit order IS (sim-time, sequence) order: two runs
@@ -51,7 +51,7 @@
 namespace fatih::obs {
 
 /// Event taxonomy. One category per kind of question a timeline answers;
-/// runtime enable/sampling is per category (TraceConfig).
+/// runtime enable is per category (TraceConfig).
 enum class TraceCategory : std::uint8_t {
   kDrop = 0,    ///< a packet died, with its ground-truth reason
   kQueue,       ///< queue depth sample at enqueue
@@ -122,7 +122,6 @@ enum class TraceSource : std::uint8_t {
   kPik2,
   kChi,
   kReliable,
-  kValidation,
   kBench,
   kConviction,  ///< the evidence-based conviction layer
 };
@@ -149,17 +148,12 @@ struct TraceEvent {
   [[nodiscard]] const char* note_c_str() const { return note.data(); }
 };
 
-/// Runtime switchboard: which categories record, and 1-in-N sampling per
-/// category (sampling keeps the first of every N offered events).
+/// Runtime switchboard: which categories record.
 struct TraceConfig {
   std::size_t capacity = 1 << 15;  ///< ring slots; oldest overwritten
   std::array<bool, kTraceCategoryCount> enabled;
-  std::array<std::uint32_t, kTraceCategoryCount> sample_every;
 
-  TraceConfig() {
-    enabled.fill(true);
-    sample_every.fill(1);
-  }
+  TraceConfig() { enabled.fill(true); }
 };
 
 /// The ring-buffered event recorder. Single-threaded, like the simulator.
@@ -172,7 +166,7 @@ class TraceSink {
     return config_.enabled[static_cast<std::size_t>(cat)];
   }
 
-  /// Records `ev` if its category is enabled and passes sampling; stamps
+  /// Records `ev` if its category is enabled; stamps
   /// the sequence number. `ev.at` must be the current simulated time
   /// (callers pass sim.now()); emit order is the determinism tiebreak.
   void emit(TraceEvent ev);
@@ -197,13 +191,11 @@ class TraceSink {
   void byzantine(util::SimTime at, TraceSource src, TraceCode code, util::NodeId a,
                  util::NodeId b, std::int64_t round, std::uint64_t value, const char* note);
 
-  /// Events offered to emit() (enabled categories only).
-  [[nodiscard]] std::uint64_t offered() const { return offered_; }
-  /// Events that passed sampling and were written to the ring.
-  [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
+  /// Events written to the ring (enabled categories only).
+  [[nodiscard]] std::uint64_t recorded() const { return next_seq_; }
   /// Recorded events already overwritten by newer ones.
   [[nodiscard]] std::uint64_t overwritten() const {
-    return recorded_ - static_cast<std::uint64_t>(size());
+    return next_seq_ - static_cast<std::uint64_t>(size());
   }
   [[nodiscard]] std::size_t size() const { return ring_.size(); }
 
@@ -222,10 +214,7 @@ class TraceSink {
   TraceConfig config_;
   std::vector<TraceEvent> ring_;  ///< grows to capacity, then wraps
   std::size_t head_ = 0;          ///< next write position once full
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t offered_ = 0;
-  std::uint64_t recorded_ = 0;
-  std::array<std::uint32_t, kTraceCategoryCount> sample_counter_{};
+  std::uint64_t next_seq_ = 0;  ///< also the count of recorded events
 };
 
 }  // namespace fatih::obs

@@ -62,7 +62,6 @@ TEST(TraceSink, StampsSequenceInEmitOrder) {
   EXPECT_STREQ(evs[0].note_c_str(), "first");
   EXPECT_EQ(evs[2].category, TraceCategory::kDrop);
   EXPECT_EQ(evs[2].value, 42U);
-  EXPECT_EQ(sink.offered(), 3U);
   EXPECT_EQ(sink.recorded(), 3U);
   EXPECT_EQ(sink.overwritten(), 0U);
 }
@@ -86,31 +85,12 @@ TEST(TraceSink, RingOverwritesOldestPastCapacity) {
   }
 }
 
-TEST(TraceSink, SamplingKeepsFirstOfEveryN) {
-  TraceConfig cfg;
-  cfg.sample_every[static_cast<std::size_t>(TraceCategory::kQueue)] = 3;
-  TraceSink sink(cfg);
-  for (int i = 0; i < 7; ++i) {
-    sink.queue_depth(SimTime::from_seconds(i), 0, 1, 100 * i, 0.1 * i);
-  }
-  EXPECT_EQ(sink.offered(), 7U);
-  // Kept: offers 0, 3, 6.
-  ASSERT_EQ(sink.recorded(), 3U);
-  const auto evs = sink.events();
-  EXPECT_EQ(evs[0].value, 0U);
-  EXPECT_EQ(evs[1].value, 300U);
-  EXPECT_EQ(evs[2].value, 600U);
-  // Sampling never perturbs another category.
-  sink.annotate(SimTime::from_seconds(8), "x");
-  EXPECT_EQ(sink.recorded(), 4U);
-}
-
 TEST(TraceSink, DisabledCategoryRecordsNothing) {
   TraceConfig cfg;
   cfg.enabled[static_cast<std::size_t>(TraceCategory::kDrop)] = false;
   TraceSink sink(cfg);
   sink.drop(SimTime::from_seconds(1), TraceCode::kDropNoRoute, 0, 1, 7);
-  EXPECT_EQ(sink.offered(), 0U);
+  EXPECT_EQ(sink.recorded(), 0U);
   EXPECT_EQ(sink.size(), 0U);
   sink.queue_depth(SimTime::from_seconds(1), 0, 1, 10, 0.5);
   EXPECT_EQ(sink.size(), 1U);
@@ -125,7 +105,6 @@ TEST(TraceSink, ClearResetsEverythingButConfig) {
   for (int i = 0; i < 6; ++i) sink.annotate(SimTime::from_seconds(i), "a");
   sink.clear();
   EXPECT_EQ(sink.size(), 0U);
-  EXPECT_EQ(sink.offered(), 0U);
   EXPECT_EQ(sink.recorded(), 0U);
   EXPECT_EQ(sink.config().capacity, 4U);
   sink.annotate(SimTime::from_seconds(9), "after");
