@@ -283,7 +283,7 @@ TEST(ReliableChannel, GenuineAckSettlesDespiteSpoofingNoise) {
 }
 
 #if FATIH_TRACE
-TEST(ReliableChannel, RegistryCountersMirrorChannelStats) {
+TEST(ReliableChannel, TraceEventsMirrorChannelStats) {
   // The trace records what the channel counts: after a lossy run, each
   // kReliable exchange event count equals the Stats field the channel
   // kept itself.

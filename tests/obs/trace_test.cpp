@@ -228,7 +228,7 @@ struct WiredPair {
   }
 };
 
-TEST(SimWiring, PacketPathCountsIntoRegistry) {
+TEST(SimWiring, EachEnqueueTracesOneQueueSample) {
   WiredPair p;
   p.net.sim().schedule_at(SimTime::origin(), [&] {
     p.a->originate(p.make(100));
@@ -240,7 +240,7 @@ TEST(SimWiring, PacketPathCountsIntoRegistry) {
   EXPECT_EQ(tl.select(TraceCategory::kQueue).size(), 2U);
 }
 
-TEST(SimWiring, DropsLandInReasonIndexedCounterAndTrace) {
+TEST(SimWiring, TtlDropTracesItsReason) {
   WiredPair p;
   sim::Packet pkt = p.make(100);
   pkt.hdr.ttl = 1;  // expires at the first router
