@@ -2,6 +2,7 @@
 
 #include <charconv>
 
+#include "routing/topologies.hpp"
 #include "util/hash.hpp"
 
 namespace fatih::scenario {
@@ -122,7 +123,47 @@ bool parse_enum(std::string_view s, E& out, const char* (*name)(E), E last) {
   return false;
 }
 
+/// Empty when every node id the spec names is one of its topology's
+/// routers; otherwise names the first statement that does not.
+std::string check_node_ids(const ScenarioSpec& spec) {
+  const std::uint32_t routers = router_count(spec);
+  std::string error;
+  const auto check = [&](const char* stmt, std::size_t index, const char* key,
+                         util::NodeId id) {
+    if (!error.empty() || id < routers) return;
+    error = std::string(stmt) + " statement " + std::to_string(index + 1) + ": " + key + "=" +
+            std::to_string(id) + " is outside the topology's " + std::to_string(routers) +
+            " routers";
+  };
+  for (std::size_t i = 0; i < spec.flows.size(); ++i) {
+    check("flow", i, "src", spec.flows[i].src);
+    check("flow", i, "dst", spec.flows[i].dst);
+  }
+  for (std::size_t i = 0; i < spec.attacks.size(); ++i) {
+    check("attack", i, "at", spec.attacks[i].at);
+  }
+  for (std::size_t i = 0; i < spec.churn.size(); ++i) {
+    check("churn", i, "a", spec.churn[i].a);
+    check("churn", i, "b", spec.churn[i].b);
+  }
+  for (const util::NodeId t : spec.detector.terminals) check("detector", 0, "terminals", t);
+  return error;
+}
+
 }  // namespace
+
+std::uint32_t router_count(const ScenarioSpec& spec) {
+  switch (spec.topology) {
+    case TopologyKind::kLine4:
+    case TopologyKind::kChiBottleneck:
+      return 4;
+    case TopologyKind::kAbilene:
+      return routing::kNewYork + 1;
+    case TopologyKind::kGenerated:
+      return spec.topo.routers;
+  }
+  return 0;
+}
 
 topo::TopoParams topo_params(const TopoSpec& t) {
   topo::TopoParams p;
@@ -439,7 +480,8 @@ bool decode(const std::string& text, ScenarioSpec& out, std::string& error) {
     error = "spec has no name";
     return false;
   }
-  return true;
+  error = check_node_ids(out);
+  return error.empty();
 }
 
 std::uint64_t spec_hash(const ScenarioSpec& spec) {

@@ -150,8 +150,12 @@ struct ScenarioSpec {
 [[nodiscard]] std::string encode(const ScenarioSpec& spec);
 
 /// Parses a spec. Returns false and sets `error` (with a line number) on
-/// malformed input: unknown sections/keys, bad integers, missing header.
+/// malformed input: unknown sections/keys, bad integers, missing header,
+/// or a node id outside the topology (naming the statement).
 [[nodiscard]] bool decode(const std::string& text, ScenarioSpec& out, std::string& error);
+
+/// Number of routers the spec's topology builds: node ids run below it.
+[[nodiscard]] std::uint32_t router_count(const ScenarioSpec& spec);
 
 /// FNV-1a 64 (util/hash.hpp) over the canonical encoding: the corpus key
 /// for the scenario.

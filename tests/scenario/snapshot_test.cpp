@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "scenario/registry.hpp"
@@ -144,13 +145,18 @@ TEST_F(SnapshotRejection, WrongVersionIsDetectedDistinctly) {
 }
 
 TEST_F(SnapshotRejection, UndecodableEmbeddedSpecRefusesRestore) {
-  ScenarioSnapshot bad = snap_;
-  bad.spec_text = "scenario v1\nbogus statement\n";
-  std::unique_ptr<ScenarioRun> out;
-  SnapshotError error = SnapshotError::kNone;
-  EXPECT_FALSE(restore_run(bad, out, error));
-  EXPECT_EQ(error, SnapshotError::kBadSpec);
-  EXPECT_EQ(out, nullptr);
+  // An unknown statement, and a churn event on routers line4 does not have.
+  for (const std::string& text :
+       {std::string("scenario v1\nbogus statement\n"),
+        snap_.spec_text + "churn link_down at_ns=1700000000 a=99 b=100\n"}) {
+    ScenarioSnapshot bad = snap_;
+    bad.spec_text = text;
+    std::unique_ptr<ScenarioRun> out;
+    SnapshotError error = SnapshotError::kNone;
+    EXPECT_FALSE(restore_run(bad, out, error)) << text;
+    EXPECT_EQ(error, SnapshotError::kBadSpec) << text;
+    EXPECT_EQ(out, nullptr);
+  }
 }
 
 TEST_F(SnapshotRejection, MismatchedSpecDivergesOnReplay) {

@@ -53,6 +53,29 @@ TEST(SpecCodec, RejectsBadEnumAndBadInteger) {
   EXPECT_FALSE(decode("scenario v1\nname x\nseed twelve\n", out, error));
 }
 
+TEST(SpecCodec, RejectsNodeIdsOutsideTheTopology) {
+  // line4 builds routers 0..3. Each case names router 99 in one field, and
+  // the error names the statement and the field.
+  const std::string base = encode(*find_scenario("line4_pik2_clean"));
+  const struct {
+    std::string text;
+    const char* expected;
+  } cases[] = {
+      {base + "flow cbr src=99 dst=3 flow_id=9 rate_mpps=1000\n", "flow statement 3: src=99"},
+      {base + "flow cbr src=0 dst=99 flow_id=9 rate_mpps=1000\n", "flow statement 3: dst=99"},
+      {base + "attack rate_drop at=99\n", "attack statement 1: at=99"},
+      {base + "churn link_down at_ns=1700000000 a=99 b=100\n", "churn statement 1: a=99"},
+      {base + "churn link_down at_ns=1700000000 a=1 b=99\n", "churn statement 1: b=99"},
+      {"scenario v1\nname x\ndetector pik2 terminals=0,99\n", "detector statement 1: terminals=99"},
+  };
+  for (const auto& c : cases) {
+    ScenarioSpec out;
+    std::string error;
+    EXPECT_FALSE(decode(c.text, out, error)) << c.expected;
+    EXPECT_NE(error.find(c.expected), std::string::npos) << error;
+  }
+}
+
 TEST(SpecCodec, RejectsMissingName) {
   ScenarioSpec out;
   std::string error;
