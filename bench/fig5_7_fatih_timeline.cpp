@@ -1,11 +1,13 @@
 // Figure 5.7 reproduction: "Fatih in progress" on the Abilene topology.
 //
-// Storyline (paper timings in parentheses):
+// Runs the registered scenario `abilene_fatih_kc_drop`
+// (src/scenario/registry.cpp). Storyline (paper timings in parentheses):
 //   * link-state routing converges from a cold start (~55 s with 10 s
 //     hellos), after which a stable Sunnyvale-Denver-KansasCity-
 //     Indianapolis-Chicago-NewYork path carries coast-to-coast traffic at
 //     ~50 ms RTT (25 ms one-way);
-//   * Fatih is commissioned with tau = 5 s validation rounds and k = 1;
+//   * Fatih's first validation round starts at 60 s, with tau = 5 s
+//     rounds and k = 1;
 //   * at t ~= 117 s the Kansas City router is compromised and drops 20%
 //     of its transit traffic;
 //   * the terminal routers of the monitored path-segments around Kansas
@@ -15,17 +17,23 @@
 //   * traffic shifts to the southern path: RTT becomes ~56 ms (28 ms
 //     one-way), and Kansas City keeps forwarding only traffic on paths
 //     where no anomaly was observed.
+// `--smoke` (ctest's bench-smoke pass) also asserts that storyline from
+// the run's own state — the routing daemons, the suspicions and the RTT
+// samples — so it holds with tracing compiled out.
 #include <cstdio>
+#include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
-#include "attacks/attacks.hpp"
-#include "fatih/fatih.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
+#include "routing/link_state.hpp"
 #include "routing/topologies.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
+#include "sim/network.hpp"
 #include "traffic/sources.hpp"
-#include "util/log.hpp"
 #include "util/stats.hpp"
 
 using namespace fatih;
@@ -33,11 +41,32 @@ using util::Duration;
 using util::NodeId;
 using util::SimTime;
 
-int main() {
+namespace {
+
+/// True when the segment of a rendered suspicion
+/// ("r3 suspects <r3,r4,r6> during ...") contains router `n`.
+bool names(const std::string& suspicion, NodeId n) {
+  const std::size_t open = suspicion.find('<');
+  const std::size_t close = suspicion.find('>', open);
+  if (open == std::string::npos || close == std::string::npos) return false;
+  // Built by append, not operator+: GCC 12 -Wrestrict (see util::node_name).
+  std::string segment(",");
+  segment.append(suspicion, open + 1, close - open - 1).append(",");
+  std::string router(",");
+  router.append(util::node_name(n)).append(",");
+  return segment.find(router) != std::string::npos;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   std::printf("== Figure 5.7: Fatih timeline on Abilene ==\n\n");
 
-  sim::Network net{20250707};
-  crypto::KeyRegistry keys{555};
+  const scenario::ScenarioSpec& spec = *scenario::find_scenario("abilene_fatih_kc_drop");
+  scenario::ScenarioRun run(spec);
+  sim::Network& net = run.network();
+  const routing::LinkStateRouting& lsr = *run.routing();
 
   // One recorder for the whole experiment: detections, alerts, reroutes
   // and the storyline markers all land in the trace sink, and the printed
@@ -50,72 +79,23 @@ int main() {
   tcfg.enabled[static_cast<std::size_t>(obs::TraceCategory::kDrop)] = false;
   obs::TraceSink sink(tcfg);
   net.sim().set_trace(&sink);
-  for (NodeId n = 0; n <= routing::kNewYork; ++n) net.add_router(routing::abilene_name(n));
-  for (const auto& l : routing::abilene_links()) {
-    sim::LinkConfig link;
-    link.delay = Duration::millis(l.delay_ms);
-    link.metric = l.delay_ms;
-    link.bandwidth_bps = 1e8;
-    net.connect(l.a, l.b, link);
-  }
 
-  // Paper-faithful control-plane timers.
-  routing::LinkStateConfig lcfg;
-  lcfg.hello_interval = Duration::seconds(10);
-  lcfg.spf_delay = Duration::seconds(5);
-  lcfg.spf_hold = Duration::seconds(10);
-  routing::LinkStateRouting lsr(net, keys, lcfg);
-
-  system::FatihConfig fcfg;
-  fcfg.detection.clock = detection::RoundClock{SimTime::from_seconds(60), Duration::seconds(5)};
-  fcfg.detection.k = 1;
-  fcfg.detection.collect_settle = Duration::millis(400);
-  fcfg.detection.exchange_timeout = Duration::seconds(1);
-  fcfg.detection.thresholds.max_lost_fraction = 0.05;
-  fcfg.detection.thresholds.max_lost_packets = 2;
-  system::FatihSystem fatih(net, keys, lsr, fcfg);
-
-  lsr.start();
-  net.sim().schedule_at(SimTime::from_seconds(60), [&] {
-    auto tables = std::make_shared<routing::RoutingTables>(routing::abilene_topology());
-    std::vector<NodeId> terminals;
-    for (NodeId n = 0; n <= routing::kNewYork; ++n) terminals.push_back(n);
-    fatih.commission(tables, terminals);
+  // Storyline markers at the spec's first round and attack onset.
+  const SimTime commission = SimTime::from_nanos(spec.detector.epoch_ns);
+  const SimTime attack = SimTime::from_nanos(spec.attacks.front().active_from_ns);
+  net.sim().schedule_at(commission, [&] {
     sink.annotate(net.sim().now(), "COMMISSION Fatih (tau=5s, k=1)");
   });
-
-  // Coast-to-coast traffic crossing Kansas City.
-  std::vector<std::unique_ptr<traffic::CbrSource>> sources;
-  auto add_cbr = [&](NodeId src, NodeId dst, std::uint32_t flow, double pps) {
-    traffic::CbrSource::Config c;
-    c.src = src;
-    c.dst = dst;
-    c.flow_id = flow;
-    c.rate_pps = pps;
-    c.start = SimTime::from_seconds(62);
-    c.stop = SimTime::from_seconds(198);
-    sources.push_back(std::make_unique<traffic::CbrSource>(net, c));
-  };
-  add_cbr(routing::kSunnyvale, routing::kNewYork, 1, 150);
-  add_cbr(routing::kNewYork, routing::kSunnyvale, 2, 150);
-  add_cbr(routing::kLosAngeles, routing::kChicago, 3, 80);
-  add_cbr(routing::kSeattle, routing::kWashington, 4, 80);
-
-  // RTT probe New York <-> Sunnyvale (the plotted series).
-  system::RttProbe probe(net, routing::kNewYork, routing::kSunnyvale, 900,
-                         Duration::millis(500));
-  probe.start(SimTime::from_seconds(62));
-
-  // The attack: Kansas City drops 20% of transit traffic from t=117 s.
-  attacks::FlowMatch match;  // all data traffic
-  net.sim().schedule_at(SimTime::from_seconds(117), [&] {
-    net.router(routing::kKansasCity)
-        .set_forward_filter(std::make_shared<attacks::RateDropAttack>(
-            match, 0.20, SimTime::from_seconds(117), 99));
+  net.sim().schedule_at(attack, [&] {
     sink.annotate(net.sim().now(), "ATTACK KansasCity drops 20% transit");
   });
 
-  net.sim().run_until(SimTime::from_seconds(200));
+  // RTT probe New York <-> Sunnyvale (the plotted series).
+  traffic::RttProbe probe(net, routing::kNewYork, routing::kSunnyvale, 900,
+                          Duration::millis(500));
+  probe.start(SimTime::from_nanos(spec.flows.front().start_ns));
+
+  run.run_to(run.end_time_ns());
 
   // Convergence report.
   bool all_converged = true;
@@ -195,5 +175,32 @@ int main() {
   std::printf("last reroute at t=%.1fs                     (paper: ~135s)\n", reroute_t);
   std::printf("RTT before: %.1f ms (paper: 50 ms)   RTT after: %.1f ms (paper: 56 ms)\n",
               rtt_before, rtt_after);
-  return 0;
+  if (!smoke) return 0;
+
+  // The storyline, from state the run keeps without a trace.
+  bool ok = true;
+  const auto check = [&ok](bool cond, const char* what) {
+    if (!cond) {
+      std::printf("SMOKE FAILURE: %s\n", what);
+      ok = false;
+    }
+  };
+  check(all_converged, "routing did not converge on every router");
+  const std::vector<std::string> suspicions = run.suspicion_strings();
+  check(!suspicions.empty(), "Kansas City was never suspected");
+  for (const std::string& s : suspicions) {
+    check(names(s, routing::kKansasCity), "a suspicion does not name Kansas City");
+  }
+  for (NodeId n = 0; n <= routing::kNewYork; ++n) {
+    check(!lsr.banned_segments(n).empty(), "a router holds no ban");
+  }
+  // After the attack onset, by one round (5 s), the SPF delay (5 s) and
+  // the hold (10 s) later.
+  const double rerouted = lsr.last_route_change(routing::kSunnyvale).seconds();
+  check(rerouted > attack.seconds() && rerouted <= attack.seconds() + 20.0,
+        "Sunnyvale did not reroute within 20 s of the attack");
+  check(rtt_before >= 49.0 && rtt_before <= 52.0, "RTT before the attack is not 49-52 ms");
+  check(rtt_after - rtt_before >= 5.0 && rtt_after - rtt_before <= 7.0,
+        "RTT did not rise by 5-7 ms after the reroute");
+  return ok ? 0 : 1;
 }

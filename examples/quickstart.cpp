@@ -81,6 +81,7 @@ int main() {
   }
   std::printf("\nEvery suspected segment contains r2 (precision k+2 = 3): feed these\n"
               "into routing::LinkStateRouting::announce_suspicion to route around it\n"
-              "(see the fatih_abilene example).\n");
+              "(the registered scenario abilene_fatih_kc_drop does; see\n"
+              "bench/fig5_7_fatih_timeline).\n");
   return 0;
 }

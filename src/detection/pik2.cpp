@@ -49,7 +49,6 @@ Pik2Engine::Pik2Engine(sim::Network& net, const crypto::KeyRegistry& keys, const
     });
     channel_->set_failure_fn([this](util::NodeId from, util::NodeId /*to*/,
                                     const sim::ControlPayload& payload, util::SimTime) {
-      if (stopped()) return;
       // The sender could not get its summary through within the retry
       // budget: degrade to a suspicion of the exchange segment now rather
       // than stalling until the peer's timeout fires — unless the delivery
@@ -70,13 +69,6 @@ void Pik2Engine::start() {
       config_.collect_settle, config_.exchange_timeout,
       [this](std::int64_t round) { exchange(round); },
       [this](std::int64_t round) { evaluate(round); });
-}
-
-void Pik2Engine::stop() {
-  stop_rounds();
-  for (auto& gen : generators_) {
-    if (gen != nullptr) gen->set_enabled(false);
-  }
 }
 
 std::vector<routing::PathSegment> Pik2Engine::monitored_by(util::NodeId r) const {

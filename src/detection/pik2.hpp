@@ -69,11 +69,6 @@ class Pik2Engine : public RoundDriver {
 
   void start();
 
-  /// Retires the engine: stops the round scheduler and disables its
-  /// summary generators. Registered taps remain (harmless no-ops), so the
-  /// object must stay alive, parked.
-  void stop();
-
   /// Protocol-fault injection, as in Pi2Engine.
   using ReportMutator = std::function<bool(SegmentSummary&)>;
   void set_report_mutator(util::NodeId r, ReportMutator m) { mutators_[r] = std::move(m); }

@@ -35,12 +35,9 @@ void RoundDriver::start_rounds(util::Duration collect, util::Duration settle, Ro
 }
 
 void RoundDriver::run_round(std::int64_t round) {
-  if (stopped_) return;
   open_round(round);
   ship_(round);
-  net_.sim().schedule_in(settle_, [this, round] {
-    if (!stopped_) evaluate_(round);
-  });
+  net_.sim().schedule_in(settle_, [this, round] { evaluate_(round); });
   if (has_round_after(round)) {
     net_.sim().schedule_at(clock_.interval_of(round + 1).end + collect_,
                            [this, round] { run_round(round + 1); });

@@ -98,8 +98,6 @@ class RoundDriver {
   /// `ship(r)`, and calls `evaluate(r)` `settle` later.
   void start_rounds(util::Duration collect, util::Duration settle, RoundFn ship,
                     RoundFn evaluate);
-  void stop_rounds() { stopped_ = true; }
-  [[nodiscard]] bool stopped() const { return stopped_; }
   [[nodiscard]] bool has_round_after(std::int64_t round) const {
     return rounds_ == 0 || round + 1 < rounds_;
   }
@@ -178,7 +176,6 @@ class RoundDriver {
   util::Duration settle_;
   RoundFn ship_;
   RoundFn evaluate_;
-  bool stopped_ = false;
   std::vector<Suspicion> suspicions_;
   util::FlatSet<std::tuple<util::NodeId, routing::PathSegment, std::int64_t>> raised_;
   SuspicionHandler handler_;

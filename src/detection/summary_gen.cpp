@@ -91,12 +91,12 @@ void SummaryGenerator::flush_role(std::size_t idx) {
 
 void SummaryGenerator::on_forward(const sim::Packet& p, util::NodeId prev, std::size_t out_iface,
                                   util::SimTime /*now*/) {
-  if (!enabled_ || p.is_control()) return;  // only data-plane traffic is validated
+  if (p.is_control()) return;  // only data-plane traffic is validated
   record_under(send_roles_, net_.router(router_).interface(out_iface).peer(), p, prev);
 }
 
 void SummaryGenerator::on_receive(const sim::Packet& p, util::NodeId prev, util::SimTime /*now*/) {
-  if (!enabled_ || p.is_control()) return;
+  if (p.is_control()) return;
   record_under(sink_roles_, prev, p, prev);
 }
 

@@ -52,10 +52,6 @@ class SummaryGenerator {
 
   [[nodiscard]] util::NodeId router() const { return router_; }
 
-  /// Disables recording (taps stay registered but become no-ops); used
-  /// when a monitoring set is retired after re-commissioning.
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-
  private:
   struct Role {
     routing::PathSegment segment;
@@ -99,7 +95,6 @@ class SummaryGenerator {
   util::NodeId router_;
   RoundClock clock_;
   const PathCache& paths_;
-  bool enabled_ = true;
   /// Lane width of the active SipHash dispatch level, sampled once at
   /// construction; pending batches flush when they reach it.
   std::size_t batch_width_;

@@ -300,6 +300,40 @@ std::vector<ScenarioSpec> build_all() {
     all.push_back(d);
   }
 
+  {
+    // Fig. 5.7, "Fatih in progress": link-state routing converges from a
+    // cold start, Pi(k+2) (k = 1, tau = 5 s) takes its first round at
+    // 60 s, and from 117 s Kansas City drops 20% of its transit traffic.
+    // Each suspicion is flooded as a signed alert, and OSPF routes around
+    // the segment after its SPF delay and hold.
+    ScenarioSpec s;
+    s.name = "abilene_fatih_kc_drop";
+    s.topology = TopologyKind::kAbilene;
+    s.routing = RoutingKind::kLinkState;
+    s.seed = 20250707;
+    s.duration_ns = 198 * kSecond;
+    s.detector.kind = DetectorKind::kPik2;
+    s.detector.epoch_ns = 60 * kSecond;
+    s.detector.tau_ns = 5 * kSecond;
+    s.detector.rounds = 0;
+    s.flows.push_back(cbr(routing::kSunnyvale, routing::kNewYork, 1, 150, 62 * kSecond,
+                          198 * kSecond));
+    s.flows.push_back(cbr(routing::kNewYork, routing::kSunnyvale, 2, 150, 62 * kSecond,
+                          198 * kSecond));
+    s.flows.push_back(cbr(routing::kLosAngeles, routing::kChicago, 3, 80, 62 * kSecond,
+                          198 * kSecond));
+    s.flows.push_back(cbr(routing::kSeattle, routing::kWashington, 4, 80, 62 * kSecond,
+                          198 * kSecond));
+    AttackSpec a;
+    a.kind = AttackKind::kRateDrop;
+    a.at = routing::kKansasCity;
+    a.fraction_ppm = 200'000;
+    a.active_from_ns = 117 * kSecond;
+    a.seed = 99;
+    s.attacks.push_back(a);
+    all.push_back(s);
+  }
+
   all.push_back(chi_base("chi_droptail_clean", false, 607));
 
   {

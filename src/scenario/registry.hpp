@@ -3,11 +3,13 @@
 // Re-expresses the scenarios the benches and tests hard-code — the line
 // networks of the detection tests, the Abilene no-attack forwarding
 // substrate (pinned by Network.AbileneNoAttackMatchesSeedEngineCounts in
-// tests/sim/network_test.cpp), and the Fig. 6.4 chi bottleneck with its
+// tests/sim/network_test.cpp), the Fig. 6.4 chi bottleneck with its
 // drop-tail / RED attack variants (bench/chi_fixture.hpp, the fig6_*
-// setups) — as declarative ScenarioSpecs. These are the seeds of the
-// golden regression corpus (BENCH_fleet_corpus.json): every spec here is
-// run by tools/fatih-fleet and its suspicion set and counters are pinned.
+// setups), and the Fig. 5.7 Fatih loop on Abilene that
+// bench/fig5_7_fatih_timeline runs — as declarative ScenarioSpecs. These
+// are the seeds of the golden regression corpus (BENCH_fleet_corpus.json):
+// every spec here is run by tools/fatih-fleet and its suspicion set and
+// counters are pinned.
 #pragma once
 
 #include <string_view>

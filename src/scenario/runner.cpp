@@ -11,6 +11,7 @@
 #include "detection/pi2.hpp"
 #include "detection/pik2.hpp"
 #include "routing/install.hpp"
+#include "routing/link_state.hpp"
 #include "routing/spf.hpp"
 #include "routing/topologies.hpp"
 #include "sim/churn.hpp"
@@ -46,7 +47,8 @@ std::unique_ptr<topo::GeneratedTopology> make_generated(const ScenarioSpec& s) {
 /// here touches cross-PoP shared state outside the lane/barrier protocol
 /// (churn mutates interfaces from the control plane, TCP acks schedule on
 /// both endpoints, kModify draws payload tags from the global rng,
-/// reliable transport re-arms per-destination timers from sink context).
+/// reliable transport re-arms per-destination timers from sink context,
+/// link-state daemons draw from the global rng and flood across PoPs).
 void check_shardable(const ScenarioSpec& s) {
   if (s.shards == 0) return;
   auto reject = [&](const char* why) {
@@ -54,6 +56,7 @@ void check_shardable(const ScenarioSpec& s) {
   };
   if (s.topology != TopologyKind::kGenerated) reject("topology must be generated");
   if (!s.churn.empty()) reject("churn is not supported");
+  if (s.routing != RoutingKind::kStatic) reject("link-state routing is not supported");
   if (s.detector.reliable) reject("reliable control transport is not supported");
   for (const FlowSpec& f : s.flows) {
     if (f.kind == FlowKind::kTcp) reject("tcp flows are not supported");
@@ -100,6 +103,7 @@ struct ScenarioRun::Impl {
   crypto::KeyRegistry keys;
   std::shared_ptr<routing::RoutingTables> tables{};
   std::unique_ptr<detection::PathCache> paths{};
+  std::unique_ptr<routing::LinkStateRouting> link_state{};  ///< null under static routes
 
   std::vector<std::unique_ptr<traffic::CbrSource>> cbr{};
   std::vector<std::unique_ptr<traffic::OnOffSource>> onoff{};
@@ -131,6 +135,7 @@ struct ScenarioRun::Impl {
         net(s.seed, shard_plan(gen.get(), s.shards)),
         keys(s.seed + kKeySeedSalt) {
     build_topology();
+    build_routing();
     install_counters();
     build_traffic();
     build_attacks();
@@ -237,11 +242,17 @@ struct ScenarioRun::Impl {
 
   void finish_routes(Duration proc_base, Duration proc_jitter) {
     tables = std::make_shared<routing::RoutingTables>(routing::Topology::from_network(net));
-    routing::install_static_routes(net, *tables);
+    if (spec.routing == RoutingKind::kStatic) routing::install_static_routes(net, *tables);
     paths = std::make_unique<detection::PathCache>(tables);
     for (util::NodeId n = 0; n < net.node_count(); ++n) {
       net.router(n).set_processing_delay(proc_base, proc_jitter);
     }
+  }
+
+  void build_routing() {
+    if (spec.routing != RoutingKind::kLinkState) return;
+    link_state = std::make_unique<routing::LinkStateRouting>(net, keys, routing::LinkStateConfig{});
+    link_state->start();
   }
 
   void install_counters() {
@@ -418,6 +429,20 @@ struct ScenarioRun::Impl {
         break;
       }
     }
+    if (link_state != nullptr) {
+      // The response (§2.4.3): the reporter floods a signed alert and
+      // every correct router excludes the segment from its routes.
+      driver().set_suspicion_handler([this](const detection::Suspicion& s) {
+        link_state->announce_suspicion(s.reporter, s.segment, s.interval);
+      });
+    }
+  }
+
+  /// The round bookkeeping of the one detector the spec commissions.
+  [[nodiscard]] detection::RoundDriver& driver() const {
+    if (pi2 != nullptr) return *pi2;
+    if (pik2 != nullptr) return *pik2;
+    return *chi_queue;
   }
 
   void warm_path_cache() {
@@ -466,11 +491,7 @@ struct ScenarioRun::Impl {
   }
 
   [[nodiscard]] const std::vector<detection::Suspicion>& suspicions() const {
-    static const std::vector<detection::Suspicion> kNone;
-    if (pi2 != nullptr) return pi2->suspicions();
-    if (pik2 != nullptr) return pik2->suspicions();
-    if (chi_queue != nullptr) return chi_queue->suspicions();
-    return kNone;
+    return driver().suspicions();
   }
 
   [[nodiscard]] StateDigest make_digest() {
@@ -542,6 +563,10 @@ std::vector<std::string> ScenarioRun::suspicion_strings() const {
 const std::vector<Checkpoint>& ScenarioRun::checkpoints() const { return impl_->checkpoints; }
 
 const ScenarioSpec& ScenarioRun::spec() const { return impl_->spec; }
+
+sim::Network& ScenarioRun::network() { return impl_->net; }
+
+const routing::LinkStateRouting* ScenarioRun::routing() const { return impl_->link_state.get(); }
 
 ScenarioResult ScenarioRun::finish() {
   impl_->run_to(impl_->end_ns());

@@ -1,7 +1,9 @@
 // Materializes a ScenarioSpec into a live experiment and drives it.
 //
 // A ScenarioRun owns the network, routes, traffic agents, attack filters,
-// churn schedule and detection engine a spec describes, and can advance
+// churn schedule and detection engine a spec describes — and, under
+// `routing link_state`, the routing daemons that route around every
+// suspicion the detector raises (the Fatih loop of §5.3). It can advance
 // simulated time incrementally (run_to) while capturing StateDigests — the
 // checkpoint/restore and drift-bisection primitives. Every run of the same
 // spec is bit-identical: construction order, seeds and event scheduling
@@ -14,6 +16,14 @@
 #include <vector>
 
 #include "scenario/spec.hpp"
+
+namespace fatih::sim {
+class Network;
+}  // namespace fatih::sim
+
+namespace fatih::routing {
+class LinkStateRouting;
+}  // namespace fatih::routing
 
 namespace fatih::scenario {
 
@@ -89,6 +99,13 @@ class ScenarioRun {
   [[nodiscard]] const std::vector<Checkpoint>& checkpoints() const;
 
   [[nodiscard]] const ScenarioSpec& spec() const;
+
+  /// The live network: attach a trace sink, a probe or test taps here
+  /// before run_to.
+  [[nodiscard]] sim::Network& network();
+
+  /// The link-state daemons; null under static routes.
+  [[nodiscard]] const routing::LinkStateRouting* routing() const;
 
  private:
   struct Impl;

@@ -199,6 +199,14 @@ const char* topology_name(TopologyKind k) {
   return "?";
 }
 
+const char* routing_name(RoutingKind k) {
+  switch (k) {
+    case RoutingKind::kStatic: return "static";
+    case RoutingKind::kLinkState: return "link_state";
+  }
+  return "?";
+}
+
 const char* detector_name(DetectorKind k) {
   switch (k) {
     case DetectorKind::kPi2: return "pi2";
@@ -250,7 +258,7 @@ std::string encode(const ScenarioSpec& spec) {
   out += "seed " + std::to_string(spec.seed) + '\n';
   out += "duration_ns " + std::to_string(spec.duration_ns) + '\n';
 
-  // Both statements are new in codec terms and emitted only when they
+  // These statements are new in codec terms and emitted only when they
   // carry non-default content, so pre-existing specs encode byte-for-byte
   // as before (stable spec_hash across the corpus).
   if (spec.topology == TopologyKind::kGenerated) {
@@ -268,6 +276,11 @@ std::string encode(const ScenarioSpec& spec) {
   if (spec.shards > 0) {
     out += "engine";
     append_kv_u(out, "shards", spec.shards);
+    out += '\n';
+  }
+  if (spec.routing != RoutingKind::kStatic) {
+    out += "routing ";
+    out += routing_name(spec.routing);
     out += '\n';
   }
 
@@ -384,6 +397,9 @@ bool decode(const std::string& text, ScenarioSpec& out, std::string& error) {
         else return fail("unknown engine key '" + std::string(tk.key) + "'");
         if (!ok) return fail("bad engine value for '" + std::string(tk.key) + "'");
       }
+    } else if (stmt == "routing") {
+      if (!parse_enum(rest, out.routing, routing_name, RoutingKind::kLinkState))
+        return fail("unknown routing '" + std::string(rest) + "'");
     } else if (stmt == "detector") {
       const std::size_t sp2 = rest.find(' ');
       const std::string_view kind = rest.substr(0, sp2);

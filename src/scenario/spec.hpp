@@ -62,6 +62,15 @@ enum class DetectorKind : std::uint8_t {
   kChi,   ///< Protocol chi (queue replay at the Fig. 6.4 bottleneck)
 };
 
+/// How routers learn their routes. Topology, processing delays and the
+/// detectors' path view come from central SPF under either kind.
+enum class RoutingKind : std::uint8_t {
+  kStatic,     ///< central SPF installed as static routes before t = 0
+  kLinkState,  ///< link-state daemons with the Zebra timers (LinkStateConfig
+               ///< defaults); every suspicion is flooded as a signed alert
+               ///< and routed around
+};
+
 /// Traffic source families (src/traffic).
 enum class FlowKind : std::uint8_t { kCbr, kOnOff, kTcp };
 
@@ -140,6 +149,9 @@ struct ScenarioSpec {
   /// `engine shards=N` only when non-zero, so existing specs keep their
   /// byte-identical canonical form.
   std::uint32_t shards = 0;
+  /// Encoded as `routing link_state` only when not static, so existing
+  /// specs keep their canonical form.
+  RoutingKind routing = RoutingKind::kStatic;
   DetectorSpec detector{};
   std::vector<FlowSpec> flows{};
   std::vector<AttackSpec> attacks{};
@@ -162,6 +174,7 @@ struct ScenarioSpec {
 [[nodiscard]] std::uint64_t spec_hash(const ScenarioSpec& spec);
 
 [[nodiscard]] const char* topology_name(TopologyKind k);
+[[nodiscard]] const char* routing_name(RoutingKind k);
 [[nodiscard]] const char* detector_name(DetectorKind k);
 [[nodiscard]] const char* flow_name(FlowKind k);
 [[nodiscard]] const char* attack_name(AttackKind k);

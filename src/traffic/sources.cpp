@@ -134,4 +134,51 @@ const FlowSink::FlowStats& FlowSink::flow(std::uint32_t flow_id) const {
   return it != flows_.end() ? it->second : empty_;
 }
 
+// ----------------------------------------------------------------- RttProbe
+
+RttProbe::RttProbe(sim::Network& net, util::NodeId a, util::NodeId b, std::uint32_t flow_id,
+                   util::Duration interval)
+    : net_(net), a_(a), b_(b), flow_id_(flow_id), interval_(interval) {
+  // Echo responder at b.
+  net_.node(b_).add_local_handler(
+      [this](const sim::Packet& p, util::NodeId, util::SimTime) {
+        if (p.hdr.flow_id != flow_id_ || p.hdr.src != a_) return;
+        sim::PacketHeader hdr;
+        hdr.src = b_;
+        hdr.dst = a_;
+        hdr.flow_id = flow_id_;
+        hdr.seq = p.hdr.seq;
+        hdr.proto = sim::Protocol::kUdp;
+        sim::Packet echo = net_.make_packet(hdr, 24);
+        net_.router(b_).originate(echo);
+      });
+  // Echo receiver at a.
+  net_.node(a_).add_local_handler(
+      [this](const sim::Packet& p, util::NodeId, util::SimTime now) {
+        if (p.hdr.flow_id != flow_id_ || p.hdr.src != b_) return;
+        auto it = in_flight_.find(p.hdr.seq);
+        if (it == in_flight_.end()) return;
+        samples_.push_back(Sample{now, (now - it->second).to_seconds()});
+        in_flight_.erase(it);
+      });
+}
+
+void RttProbe::start(util::SimTime at) {
+  net_.sim().schedule_at(at, [this] { tick(); });
+}
+
+void RttProbe::tick() {
+  sim::PacketHeader hdr;
+  hdr.src = a_;
+  hdr.dst = b_;
+  hdr.flow_id = flow_id_;
+  hdr.seq = next_seq_;
+  hdr.proto = sim::Protocol::kUdp;
+  sim::Packet probe = net_.make_packet(hdr, 24);
+  in_flight_[next_seq_] = net_.sim().now();
+  ++next_seq_;
+  net_.router(a_).originate(probe);
+  net_.sim().schedule_in(interval_, [this] { tick(); });
+}
+
 }  // namespace fatih::traffic

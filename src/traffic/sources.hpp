@@ -143,4 +143,33 @@ class FlowSink {
   std::uint64_t total_packets_ = 0;
 };
 
+/// Round-trip-time prober between two routers (the latency trace plotted
+/// in Fig. 5.7): `a` sends a probe to `b` every `interval`; `b` echoes;
+/// `a` records the RTT.
+class RttProbe {
+ public:
+  RttProbe(sim::Network& net, util::NodeId a, util::NodeId b, std::uint32_t flow_id,
+           util::Duration interval);
+
+  void start(util::SimTime at);
+
+  struct Sample {
+    util::SimTime when;
+    double rtt_seconds;
+  };
+  [[nodiscard]] const std::vector<Sample>& samples() const { return samples_; }
+
+ private:
+  void tick();
+
+  sim::Network& net_;
+  util::NodeId a_;
+  util::NodeId b_;
+  std::uint32_t flow_id_;
+  util::Duration interval_;
+  std::uint32_t next_seq_ = 0;
+  std::map<std::uint32_t, util::SimTime> in_flight_;
+  std::vector<Sample> samples_;
+};
+
 }  // namespace fatih::traffic

@@ -43,20 +43,27 @@ void refresh_checksum(std::vector<std::uint8_t>& bytes) {
   }
 }
 
-/// The three protocols' representative attack scenarios.
-const char* kProtocolScenarios[] = {"line4_pi2_drop", "line4_pik2_drop",
-                                    "chi_droptail_drop20"};
+/// The three protocols' representative attack scenarios, each snapshotted
+/// halfway, and the Fatih loop at 123 s: its first alerts (120.8 s) are
+/// out, the SPF timers are pending and the reroute (125.8 s) is ahead.
+const struct {
+  const char* name;
+  std::int64_t at_ns;
+} kSnapshotCases[] = {{"line4_pi2_drop", 3'000'000'000},
+                      {"line4_pik2_drop", 3'000'000'000},
+                      {"chi_droptail_drop20", 5'000'000'000},
+                      {"abilene_fatih_kc_drop", 123'000'000'000}};
 
 TEST(SnapshotRoundTrip, RestoreResumesByteIdenticallyForEveryProtocol) {
-  for (const char* name : kProtocolScenarios) {
-    SCOPED_TRACE(name);
-    const ScenarioSpec* spec = find_scenario(name);
+  for (const auto& c : kSnapshotCases) {
+    SCOPED_TRACE(c.name);
+    const ScenarioSpec* spec = find_scenario(c.name);
     ASSERT_NE(spec, nullptr);
     const ScenarioResult straight = run_scenario(*spec);
 
-    // Run halfway, snapshot through the wire format, restore, finish.
+    // Run part way, snapshot through the wire format, restore, finish.
     ScenarioRun half(*spec);
-    half.run_to(half.end_time_ns() / 2);
+    half.run_to(c.at_ns);
     const std::vector<std::uint8_t> bytes = encode_snapshot(take_snapshot(half));
 
     ScenarioSnapshot decoded;

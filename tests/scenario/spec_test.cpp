@@ -51,6 +51,7 @@ TEST(SpecCodec, RejectsBadEnumAndBadInteger) {
   std::string error;
   EXPECT_FALSE(decode("scenario v1\nname x\ntopology moebius\n", out, error));
   EXPECT_FALSE(decode("scenario v1\nname x\nseed twelve\n", out, error));
+  EXPECT_FALSE(decode("scenario v1\nname x\nrouting ospf\n", out, error));
 }
 
 TEST(SpecCodec, RejectsNodeIdsOutsideTheTopology) {

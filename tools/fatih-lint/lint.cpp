@@ -1048,11 +1048,8 @@ class Linter {
         {"validation", {"util", "crypto", "sim"}},
         {"detection",
          {"util", "obs", "crypto", "sim", "routing", "traffic", "validation"}},
-        {"fatih",
-         {"util", "obs", "crypto", "sim", "routing", "traffic", "validation", "detection",
-          "attacks"}},
         // scenario/ materializes complete experiments, so it sees the whole
-        // stack below it (but not fatih/, the CLI layer).
+        // stack below it.
         {"scenario",
          {"util", "obs", "crypto", "sim", "topo", "routing", "traffic", "validation",
           "detection", "attacks"}},
