@@ -20,6 +20,7 @@
 // `--smoke` (ctest's bench-smoke pass) also asserts that storyline from
 // the run's own state — the routing daemons, the suspicions and the RTT
 // samples — so it holds with tracing compiled out.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -187,13 +188,14 @@ int main(int argc, char** argv) {
   };
   check(all_converged, "routing did not converge on every router");
   const std::vector<std::string> suspicions = run.suspicion_strings();
-  check(!suspicions.empty(), "Kansas City was never suspected");
-  for (const std::string& s : suspicions) {
-    check(names(s, routing::kKansasCity), "a suspicion does not name Kansas City");
-  }
+  const auto names_kc = [](const std::string& s) { return names(s, routing::kKansasCity); };
+  check(!suspicions.empty() && std::all_of(suspicions.begin(), suspicions.end(), names_kc),
+        "no suspicion, or one that does not name Kansas City");
+  bool every_router_bans = true;
   for (NodeId n = 0; n <= routing::kNewYork; ++n) {
-    check(!lsr.banned_segments(n).empty(), "a router holds no ban");
+    every_router_bans = every_router_bans && !lsr.banned_segments(n).empty();
   }
+  check(every_router_bans, "a router holds no ban");
   // After the attack onset, by one round (5 s), the SPF delay (5 s) and
   // the hold (10 s) later.
   const double rerouted = lsr.last_route_change(routing::kSunnyvale).seconds();
