@@ -123,6 +123,20 @@ bool parse_enum(std::string_view s, E& out, const char* (*name)(E), E last) {
   return false;
 }
 
+/// Number of routers the spec's topology builds: node ids run below it.
+std::uint32_t router_count(const ScenarioSpec& spec) {
+  switch (spec.topology) {
+    case TopologyKind::kLine4:
+    case TopologyKind::kChiBottleneck:
+      return 4;
+    case TopologyKind::kAbilene:
+      return routing::kNewYork + 1;
+    case TopologyKind::kGenerated:
+      return spec.topo.routers;
+  }
+  return 0;
+}
+
 /// Empty when every node id the spec names is one of its topology's
 /// routers; otherwise names the first statement that does not.
 std::string check_node_ids(const ScenarioSpec& spec) {
@@ -151,19 +165,6 @@ std::string check_node_ids(const ScenarioSpec& spec) {
 }
 
 }  // namespace
-
-std::uint32_t router_count(const ScenarioSpec& spec) {
-  switch (spec.topology) {
-    case TopologyKind::kLine4:
-    case TopologyKind::kChiBottleneck:
-      return 4;
-    case TopologyKind::kAbilene:
-      return routing::kNewYork + 1;
-    case TopologyKind::kGenerated:
-      return spec.topo.routers;
-  }
-  return 0;
-}
 
 topo::TopoParams topo_params(const TopoSpec& t) {
   topo::TopoParams p;

@@ -166,9 +166,6 @@ struct ScenarioSpec {
 /// or a node id outside the topology (naming the statement).
 [[nodiscard]] bool decode(const std::string& text, ScenarioSpec& out, std::string& error);
 
-/// Number of routers the spec's topology builds: node ids run below it.
-[[nodiscard]] std::uint32_t router_count(const ScenarioSpec& spec);
-
 /// FNV-1a 64 (util/hash.hpp) over the canonical encoding: the corpus key
 /// for the scenario.
 [[nodiscard]] std::uint64_t spec_hash(const ScenarioSpec& spec);
