@@ -316,14 +316,11 @@ std::vector<ScenarioSpec> build_all() {
     s.detector.epoch_ns = 60 * kSecond;
     s.detector.tau_ns = 5 * kSecond;
     s.detector.rounds = 0;
-    s.flows.push_back(cbr(routing::kSunnyvale, routing::kNewYork, 1, 150, 62 * kSecond,
-                          198 * kSecond));
-    s.flows.push_back(cbr(routing::kNewYork, routing::kSunnyvale, 2, 150, 62 * kSecond,
-                          198 * kSecond));
-    s.flows.push_back(cbr(routing::kLosAngeles, routing::kChicago, 3, 80, 62 * kSecond,
-                          198 * kSecond));
-    s.flows.push_back(cbr(routing::kSeattle, routing::kWashington, 4, 80, 62 * kSecond,
-                          198 * kSecond));
+    const std::int64_t start = 62 * kSecond;
+    s.flows.push_back(cbr(routing::kSunnyvale, routing::kNewYork, 1, 150, start, s.duration_ns));
+    s.flows.push_back(cbr(routing::kNewYork, routing::kSunnyvale, 2, 150, start, s.duration_ns));
+    s.flows.push_back(cbr(routing::kLosAngeles, routing::kChicago, 3, 80, start, s.duration_ns));
+    s.flows.push_back(cbr(routing::kSeattle, routing::kWashington, 4, 80, start, s.duration_ns));
     AttackSpec a;
     a.kind = AttackKind::kRateDrop;
     a.at = routing::kKansasCity;
