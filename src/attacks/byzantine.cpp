@@ -1,6 +1,7 @@
 #include "attacks/byzantine.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <utility>
 
@@ -37,29 +38,28 @@ void corrupt(crypto::SignedEnvelope& env) {
   env.payload[env.payload.size() / 2] ^= std::byte{0x40};
 }
 
-/// Deep-copies a signed detection payload with its envelope corrupted;
-/// null for kinds without a signed envelope.
+/// Deep-copies a signed detection payload of type `Payload` and corrupts
+/// the copy's envelope. The copy starts unjudged, so the write comes
+/// before any guard has seen it.
+template <typename Payload>
+std::shared_ptr<const sim::ControlPayload> corrupted_copy(const sim::ControlPayload& c) {
+  auto out = std::make_shared<Payload>(static_cast<const Payload&>(c));
+  assert(!out->verdict.judged());
+  corrupt(out->envelope);
+  return out;
+}
+
+/// corrupted_copy of a signed detection payload; null for kinds without a
+/// signed envelope.
 std::shared_ptr<const sim::ControlPayload> corrupted_clone(const sim::ControlPayload& c) {
   switch (c.kind()) {
     case detection::kKindSegmentSummary:
-    case detection::kKindSummaryFlood: {
-      auto out = std::make_shared<detection::SegmentSummaryPayload>(
-          static_cast<const detection::SegmentSummaryPayload&>(c));
-      corrupt(out->envelope);
-      return out;
-    }
-    case detection::kKindChiReport: {
-      auto out = std::make_shared<detection::ChiReportPayload>(
-          static_cast<const detection::ChiReportPayload&>(c));
-      corrupt(out->envelope);
-      return out;
-    }
-    case detection::kKindAccusation: {
-      auto out = std::make_shared<detection::AccusationPayload>(
-          static_cast<const detection::AccusationPayload&>(c));
-      corrupt(out->envelope);
-      return out;
-    }
+    case detection::kKindSummaryFlood:
+      return corrupted_copy<detection::SegmentSummaryPayload>(c);
+    case detection::kKindChiReport:
+      return corrupted_copy<detection::ChiReportPayload>(c);
+    case detection::kKindAccusation:
+      return corrupted_copy<detection::AccusationPayload>(c);
     default:
       return nullptr;
   }
@@ -136,9 +136,12 @@ void ForgedControlInjector::fire() {
     env.payload = std::move(bytes);
     env.tag = 0xDEADC0DEDEADC0DEULL;  // fabricated; cannot verify
   }
+  // Written before the first send, so no guard has judged the payload.
   if (auto* p = dynamic_cast<detection::SegmentSummaryPayload*>(payload.get())) {
+    assert(!p->verdict.judged());
     p->envelope = std::move(env);
   } else if (auto* p = dynamic_cast<detection::ChiReportPayload*>(payload.get())) {
+    assert(!p->verdict.judged());
     p->envelope = std::move(env);
   }
 

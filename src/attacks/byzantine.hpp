@@ -21,6 +21,14 @@
 // die at verification, replays die at the round watermark, and the
 // conviction rules (detection/evidence.hpp) need a witness quorum or a
 // self-incriminating proof no attacker can fabricate for another's key.
+//
+// Mutation rule: an attack writes a payload only before its first send —
+// ForgedControlInjector fills a fresh payload, ControlTamperAttack
+// corrupts a deep copy — and never touches an object already in flight.
+// The guards keep their verdict on the payload object (VerdictCache in
+// detection/messages.hpp), so writing a sent payload in place would let
+// it keep a verdict its new bytes never earned; both write sites assert
+// that no guard has judged the object yet.
 #pragma once
 
 #include <cstdint>

@@ -208,7 +208,7 @@ void QueueValidator::on_report(const ChiReportPayload& payload) {
   // through missing-report at evaluation. Nothing decoded, so no round is
   // known: the convenience copy's round is whatever the sender chose.
   std::optional<ChiReport> decoded;
-  if (const ControlVerdict v = guard_.check_report(payload.envelope, decoded);
+  if (const ControlVerdict v = guard_.check_report(payload, decoded);
       v != ControlVerdict::kOk) {
     guard_.reject(peer_, util::kInvalidNode, -1, v, "report");
     return;

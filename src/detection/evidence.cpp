@@ -69,30 +69,27 @@ ConvictionEngine::ConvictionEngine(sim::Network& net, const crypto::KeyRegistry&
       guard_(net, keys, obs::TraceSource::kConviction) {
   flood_ = std::make_unique<FloodService>(net_, kKindAccusation);
   flood_->set_key_fn(payload_key);
-  flood_->set_validate_fn([this](util::NodeId, const sim::ControlPayload& payload) {
-    const auto& p = static_cast<const AccusationPayload&>(payload);
+  const auto check = [this](const sim::ControlPayload& payload, std::optional<Accusation>& out) {
+    return guard_.check_accusation(static_cast<const AccusationPayload&>(payload), out);
+  };
+  flood_->set_validate_fn([check](util::NodeId, const sim::ControlPayload& payload) {
     std::optional<Accusation> decoded;
-    return guard_.check_accusation(p.envelope, decoded) == ControlVerdict::kOk;
+    return check(payload, decoded) == ControlVerdict::kOk;
   });
-  flood_->set_invalid_fn([this](util::NodeId at, util::NodeId prev,
-                                const sim::ControlPayload& payload, util::SimTime) {
-    const auto& p = static_cast<const AccusationPayload&>(payload);
+  flood_->set_invalid_fn([this, check](util::NodeId at, util::NodeId prev,
+                                       const sim::ControlPayload& payload, util::SimTime) {
     std::optional<Accusation> decoded;
-    guard_.reject(at, prev, -1, guard_.check_accusation(p.envelope, decoded), nullptr);
+    guard_.reject(at, prev, -1, check(payload, decoded), nullptr);
   });
   flood_->set_delivery_fn(
-      [this](util::NodeId, const sim::ControlPayload& payload, util::SimTime, bool vetted) {
-        const auto& p = static_cast<const AccusationPayload&>(payload);
+      [this, check](util::NodeId, const sim::ControlPayload& payload, util::SimTime) {
         std::optional<Accusation> decoded;
-        if (!vetted && guard_.check_accusation(p.envelope, decoded) != ControlVerdict::kOk) {
+        if (check(payload, decoded) != ControlVerdict::kOk) {
           return;  // an originator's own copy that does not verify
         }
         // The ledger is evaluated once per unique accusation, at its first
         // delivery (the flood delivers everywhere; replicas would agree).
         if (!processed_.insert(payload_key(payload)).second) return;
-        // A vetted copy passed check_accusation in this same call; only
-        // the decode is needed.
-        if (vetted) decoded = Accusation::from_bytes(p.envelope.payload);
         guard_.accept();
         on_accusation(*decoded);
       });

@@ -19,7 +19,7 @@ void FloodService::originate(util::NodeId from, std::shared_ptr<const sim::Contr
                              std::uint32_t wire_bytes) {
   const std::uint64_t key = key_fn_(*payload);
   if (!seen_[from].insert(key).second) return;
-  if (delivery_fn_) delivery_fn_(from, *payload, net_.sim().now(), false);
+  if (delivery_fn_) delivery_fn_(from, *payload, net_.sim().now());
   forward_copies(from, std::move(payload), wire_bytes, util::kInvalidNode);
 }
 
@@ -31,7 +31,7 @@ void FloodService::on_control(util::NodeId at, const sim::Packet& p, util::NodeI
   }
   const std::uint64_t key = key_fn_(*p.control);
   if (!seen_[at].insert(key).second) return;  // duplicate
-  if (delivery_fn_) delivery_fn_(at, *p.control, net_.sim().now(), validate_fn_ != nullptr);
+  if (delivery_fn_) delivery_fn_(at, *p.control, net_.sim().now());
   if (suppressed_.contains(at)) return;  // protocol-faulty: won't re-flood
   forward_copies(at, std::shared_ptr<const sim::ControlPayload>(p.control), p.size_bytes, prev);
 }

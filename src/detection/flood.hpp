@@ -40,11 +40,8 @@ class FloodService {
   void set_key_fn(KeyFn fn) { key_fn_ = std::move(fn); }
 
   /// Called at router `at` whenever a new (non-duplicate) payload arrives.
-  /// `vetted` is true when the ValidateFn accepted this copy in the same
-  /// call, so the receiver need not check it again. It is false for a
-  /// locally originated payload and when no ValidateFn is set.
-  using DeliveryFn = std::function<void(util::NodeId at, const sim::ControlPayload&,
-                                        util::SimTime, bool vetted)>;
+  using DeliveryFn =
+      std::function<void(util::NodeId at, const sim::ControlPayload&, util::SimTime)>;
   void set_delivery_fn(DeliveryFn fn) { delivery_fn_ = std::move(fn); }
 
   /// Verify-before-reflood: when set, every arriving hop copy is validated
@@ -52,10 +49,9 @@ class FloodService {
   /// routers never propagate unverifiable control traffic — and invalid_fn
   /// (if set) fires with the hop that handed it over, which in the
   /// simulation is ground truth and therefore supports a precision-1
-  /// suspicion of that hop. Locally originated payloads skip validation
-  /// (they are delivered with `vetted` false). Rejected copies are
-  /// not marked seen, so the same content arriving over a clean path is
-  /// still judged on its own merits.
+  /// suspicion of that hop. Locally originated payloads skip validation.
+  /// Rejected copies are not marked seen, so the same content arriving
+  /// over a clean path is still judged on its own merits.
   using ValidateFn = std::function<bool(util::NodeId at, const sim::ControlPayload&)>;
   void set_validate_fn(ValidateFn fn) { validate_fn_ = std::move(fn); }
   using InvalidFn = std::function<void(util::NodeId at, util::NodeId prev,

@@ -102,17 +102,15 @@ Pi2Engine::Pi2Engine(sim::Network& net, const crypto::KeyRegistry& keys, const P
                                 const sim::ControlPayload& payload, util::SimTime) {
     on_invalid(at, prev, payload);
   });
-  flood_->set_delivery_fn(
-      [this](util::NodeId at, const sim::ControlPayload& payload, util::SimTime, bool vetted) {
-        on_delivery(at, payload, vetted);
-      });
+  flood_->set_delivery_fn([this](util::NodeId at, const sim::ControlPayload& payload,
+                                  util::SimTime) { on_delivery(at, payload); });
 }
 
 ControlVerdict Pi2Engine::vet(const sim::ControlPayload& payload,
                               std::optional<SegmentSummaryView>& out,
                               std::int64_t* margin) const {
-  const auto& p = static_cast<const SegmentSummaryPayload&>(payload);
-  const ControlVerdict verdict = guard_.check_summary(p.envelope, out);
+  const ControlVerdict verdict =
+      guard_.check_summary(static_cast<const SegmentSummaryPayload&>(payload), out);
   if (verdict != ControlVerdict::kOk) return verdict;
   return admit_round(out->round, margin);
 }
@@ -143,13 +141,10 @@ void Pi2Engine::on_invalid(util::NodeId at, util::NodeId prev,
   suspect(at, routing::PathSegment{prev}, config_.clock.round_of(net_.sim().now()), cause);
 }
 
-void Pi2Engine::on_delivery(util::NodeId at, const sim::ControlPayload& payload, bool vetted) {
+void Pi2Engine::on_delivery(util::NodeId at, const sim::ControlPayload& payload) {
   const auto& p = static_cast<const SegmentSummaryPayload&>(payload);
   std::optional<SegmentSummaryView> decoded;
-  if (vetted) {
-    // vet() passed in this same call and instant: only the view is needed.
-    decoded = SegmentSummaryView::parse(p.envelope.payload);
-  } else if (vet(payload, decoded) != ControlVerdict::kOk) {
+  if (vet(payload, decoded) != ControlVerdict::kOk) {
     return;  // an originator's own copy, e.g. for a closed round
   }
   guard_.accept();

@@ -98,14 +98,14 @@ class Pi2Engine : public RoundDriver {
   void flood_summary(util::NodeId from, SegmentSummary summary);
   void evaluate(std::int64_t round);
   /// Full admission check for one arriving flood copy: MAC + canonical
-  /// decode + signer identity (guard) and the anti-replay round window.
-  /// `out` reads the copy's payload in place.
+  /// decode + signer identity (guard, judged once per payload object) and
+  /// the anti-replay round window (every copy). `out` reads the copy's
+  /// payload in place.
   ControlVerdict vet(const sim::ControlPayload& payload, std::optional<SegmentSummaryView>& out,
                      std::int64_t* margin = nullptr) const;
   void on_invalid(util::NodeId at, util::NodeId prev, const sim::ControlPayload& payload);
-  /// Stores one delivered copy. A `vetted` copy passed vet() in the same
-  /// call; any other copy is vetted here.
-  void on_delivery(util::NodeId at, const sim::ControlPayload& payload, bool vetted);
+  /// Vets and stores one delivered copy.
+  void on_delivery(util::NodeId at, const sim::ControlPayload& payload);
   /// Index of the view's segment in segments_, or segments_.size().
   [[nodiscard]] std::size_t segment_id(const SegmentSummaryView& view) const;
 

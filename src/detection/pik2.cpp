@@ -134,7 +134,7 @@ void Pik2Engine::send_summary(util::NodeId from, util::NodeId peer, SegmentSumma
 
 void Pik2Engine::on_summary(util::NodeId at, const SegmentSummaryPayload& payload) {
   std::optional<SegmentSummary> decoded;
-  ControlVerdict verdict = guard_.check_summary(payload.envelope, decoded);
+  ControlVerdict verdict = guard_.check_summary(payload, decoded);
   if (verdict == ControlVerdict::kOk) verdict = admit_round(decoded->round);
   if (verdict != ControlVerdict::kOk) {
     // Unicast exchange: honest interior routers forward blindly, so a bad

@@ -41,7 +41,7 @@ struct FloodNet {
     service->set_key_fn([](const sim::ControlPayload& p) {
       return static_cast<const TestPayload&>(p).id;
     });
-    service->set_delivery_fn([this](NodeId at, const sim::ControlPayload& p, SimTime, bool) {
+    service->set_delivery_fn([this](NodeId at, const sim::ControlPayload& p, SimTime) {
       ++deliveries[at];
       ++per_payload[static_cast<const TestPayload&>(p).id];
     });
@@ -93,26 +93,6 @@ TEST(FloodService, SurvivesSuppressionWithGoodPaths) {
   EXPECT_EQ(f.per_payload[9], 11U);
 }
 
-TEST(FloodService, DeliveryIsVettedOnlyWhenValidatedInTheSameCall) {
-  FloodNet f;
-  std::map<NodeId, bool> vetted;
-  f.service->set_delivery_fn(
-      [&vetted](NodeId at, const sim::ControlPayload&, SimTime, bool v) { vetted[at] = v; });
-  f.originate(routing::kDenver, 1);
-  f.net.sim().run_until(SimTime::from_seconds(1));
-  ASSERT_EQ(vetted.size(), 11U);
-  for (const auto& [node, v] : vetted) EXPECT_FALSE(v) << node;  // no ValidateFn
-
-  f.service->set_validate_fn([](NodeId, const sim::ControlPayload&) { return true; });
-  vetted.clear();
-  f.originate(routing::kDenver, 2);
-  f.net.sim().run_until(SimTime::from_seconds(2));
-  ASSERT_EQ(vetted.size(), 11U);
-  for (const auto& [node, v] : vetted) {
-    EXPECT_EQ(v, node != routing::kDenver) << node;  // the originator's copy is not
-  }
-}
-
 // A 5-router line (no routes): r2 is a cut vertex, so suppression there
 // partitions the flood — the contrast case to Abilene's good paths above.
 struct LineFloodNet {
@@ -131,7 +111,7 @@ struct LineFloodNet {
     service->set_key_fn(
         [](const sim::ControlPayload& p) { return static_cast<const TestPayload&>(p).id; });
     service->set_delivery_fn(
-        [this](NodeId at, const sim::ControlPayload&, SimTime, bool) { ++deliveries[at]; });
+        [this](NodeId at, const sim::ControlPayload&, SimTime) { ++deliveries[at]; });
   }
 
   void originate(NodeId from, std::uint64_t id) {
