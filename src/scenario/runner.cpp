@@ -69,6 +69,16 @@ void check_shardable(const ScenarioSpec& s) {
   }
 }
 
+/// What a spec must pass before anything is built: decode()'s node-id
+/// check, which a spec built in code has not been through, then
+/// check_shardable.
+void check_spec(const ScenarioSpec& s) {
+  if (const std::string error = check_node_ids(s); !error.empty()) {
+    throw std::invalid_argument("scenario '" + s.name + "': " + error);
+  }
+  check_shardable(s);
+}
+
 sim::ShardPlan shard_plan(const topo::GeneratedTopology* gen, std::uint32_t shards) {
   sim::ShardPlan plan;
   if (gen == nullptr || shards == 0) return plan;
@@ -130,7 +140,7 @@ struct ScenarioRun::Impl {
   std::vector<Checkpoint> checkpoints{};
 
   explicit Impl(const ScenarioSpec& s, unsigned threads)
-      : spec((check_shardable(s), s)),
+      : spec((check_spec(s), s)),
         gen(make_generated(s)),
         net(s.seed, shard_plan(gen.get(), s.shards)),
         keys(s.seed + kKeySeedSalt) {

@@ -137,8 +137,8 @@ std::uint32_t router_count(const ScenarioSpec& spec) {
   return 0;
 }
 
-/// Empty when every node id the spec names is one of its topology's
-/// routers; otherwise names the first statement that does not.
+}  // namespace
+
 std::string check_node_ids(const ScenarioSpec& spec) {
   const std::uint32_t routers = router_count(spec);
   std::string error;
@@ -163,8 +163,6 @@ std::string check_node_ids(const ScenarioSpec& spec) {
   for (const util::NodeId t : spec.detector.terminals) check("detector", 0, "terminals", t);
   return error;
 }
-
-}  // namespace
 
 topo::TopoParams topo_params(const TopoSpec& t) {
   topo::TopoParams p;

@@ -166,6 +166,12 @@ struct ScenarioSpec {
 /// or a node id outside the topology (naming the statement).
 [[nodiscard]] bool decode(const std::string& text, ScenarioSpec& out, std::string& error);
 
+/// Empty when every node id the spec names is one of its topology's
+/// routers; otherwise names the first statement and field that is not.
+/// decode() rejects such text and ScenarioRun such a spec, however it was
+/// built.
+[[nodiscard]] std::string check_node_ids(const ScenarioSpec& spec);
+
 /// FNV-1a 64 (util/hash.hpp) over the canonical encoding: the corpus key
 /// for the scenario.
 [[nodiscard]] std::uint64_t spec_hash(const ScenarioSpec& spec);

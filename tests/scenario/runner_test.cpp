@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,26 @@ TEST(ScenarioRunner, ReliableChiShipsReportsOverTheChannel) {
   ASSERT_FALSE(reliable.suspicions.empty());
   for (const std::string& s : reliable.suspicions) {
     EXPECT_NE(s.find("r2"), std::string::npos) << s;
+  }
+}
+
+TEST(ScenarioRunner, SpecBuiltInCodeWithOutOfRangeNodeIdsIsRejected) {
+  // decode() rejects these ids in spec text. Built in code, the spec must
+  // be rejected as well, before its churn reaches Network::set_link_up.
+  ScenarioSpec spec = *find_scenario("line4_pik2_clean");
+  ChurnSpec down;
+  down.kind = ChurnSpec::Kind::kLinkDown;
+  down.at_ns = 2 * kSecond;
+  down.a = 99;
+  down.b = 100;
+  spec.churn.push_back(down);
+  try {
+    const ScenarioRun run(spec);
+    ADD_FAILURE() << "ScenarioRun accepted churn on link 99-100";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "scenario 'line4_pik2_clean': churn statement 1: a=99 is outside the "
+              "topology's 4 routers");
   }
 }
 
