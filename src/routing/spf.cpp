@@ -6,59 +6,94 @@
 
 namespace fatih::routing {
 
-DestinationRoutes compute_routes_to(const Topology& topo, util::NodeId dst) {
-  const std::size_t n = topo.node_count();
-  DestinationRoutes out;
-  out.dst = dst;
-  out.dist.assign(n, kUnreachable);
-  out.next_hop.assign(n, util::kInvalidNode);
-  if (dst >= n) return out;
+RoutingTables::RoutingTables(const Topology& topo)
+    : n_(topo.node_count()), next_(n_ * n_, util::kInvalidNode), dist_(n_ * n_, kUnreachable) {
+  // CSR copy of the adjacency: node v's edges are edges[first[v] ..
+  // first[v + 1]), in neighbors(v) order.
+  std::vector<std::uint32_t> first(n_ + 1, 0);
+  std::vector<Topology::Edge> edges;
+  edges.reserve(topo.edge_count());
+  std::uint32_t max_metric = 0;
+  for (util::NodeId v = 0; v < n_; ++v) {
+    for (const Topology::Edge& e : topo.neighbors(v)) {
+      assert(e.metric >= Topology::kMinMetric);  // add_edge enforces the range
+      edges.push_back(e);
+      max_metric = std::max(max_metric, e.metric);
+    }
+    first[v + 1] = static_cast<std::uint32_t>(edges.size());
+  }
 
-  using Item = std::pair<std::uint64_t, util::NodeId>;  // (dist, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  out.dist[dst] = 0;
-  pq.emplace(0, dst);
-
-  std::vector<bool> done(n, false);
-  while (!pq.empty()) {
-    const auto [d, v] = pq.top();
-    pq.pop();
-    if (done[v]) continue;
-    done[v] = true;
-    // Metrics are symmetric, so scanning v's out-edges relaxes the
-    // reverse edges u -> v.
-    for (const auto& e : topo.neighbors(v)) {
-      const util::NodeId u = e.to;
-      const std::uint64_t nd = d + e.metric;
-      if (nd < out.dist[u] || (nd == out.dist[u] && v < out.next_hop[u])) {
-        const bool improved = nd < out.dist[u];
-        out.dist[u] = nd;
-        out.next_hop[u] = v;
-        if (improved) pq.emplace(nd, u);
+  // Dial's bucket queue: every queued distance lies in [cur, cur +
+  // max_metric], so a ring of max_metric + 1 buckets holds them apart, and
+  // a relaxation (metric >= 1) never lands in the bucket being drained. A
+  // node queued again at a smaller distance leaves a stale entry behind,
+  // skipped because its distance no longer equals cur. All buffers are
+  // reused across destinations.
+  std::vector<std::vector<util::NodeId>> ring(std::size_t{max_metric} + 1);
+  std::vector<std::uint64_t> dist(n_);
+  std::vector<util::NodeId> next(n_);
+  for (util::NodeId dst = 0; dst < n_; ++dst) {
+    std::fill(dist.begin(), dist.end(), kUnreachable);
+    std::fill(next.begin(), next.end(), util::kInvalidNode);
+    dist[dst] = 0;
+    ring[0].push_back(dst);
+    std::size_t queued = 1;
+    std::size_t slot = 0;  // cur % ring.size()
+    for (std::uint64_t cur = 0; queued > 0; ++cur) {
+      std::vector<util::NodeId>& bucket = ring[slot];
+      queued -= bucket.size();
+      for (const util::NodeId v : bucket) {
+        if (dist[v] != cur) continue;
+        // Metrics are symmetric, so v's out-edges relax the reverse edges
+        // u -> v. Among equal-cost neighbours the smaller id wins.
+        for (std::uint32_t i = first[v]; i < first[v + 1]; ++i) {
+          const util::NodeId u = edges[i].to;
+          const std::uint64_t nd = cur + edges[i].metric;
+          if (nd < dist[u]) {
+            dist[u] = nd;
+            next[u] = v;
+            std::size_t to = slot + edges[i].metric;
+            if (to >= ring.size()) to -= ring.size();
+            ring[to].push_back(u);
+            ++queued;
+          } else if (nd == dist[u] && v < next[u]) {
+            next[u] = v;
+          }
+        }
       }
+      bucket.clear();
+      if (++slot == ring.size()) slot = 0;
+    }
+    for (std::size_t u = 0; u < n_; ++u) {
+      dist_[u * n_ + dst] = dist[u];
+      next_[u * n_ + dst] = next[u];
     }
   }
-  out.next_hop[dst] = util::kInvalidNode;
-  return out;
 }
 
-RoutingTables::RoutingTables(const Topology& topo) {
-  per_dst_.reserve(topo.node_count());
-  for (util::NodeId d = 0; d < topo.node_count(); ++d) {
-    per_dst_.push_back(compute_routes_to(topo, d));
-  }
+std::span<const util::NodeId> RoutingTables::row(util::NodeId r) const {
+  if (r >= n_) return {};
+  return {next_.data() + std::size_t{r} * n_, n_};
+}
+
+util::NodeId RoutingTables::next_hop(util::NodeId r, util::NodeId dst) const {
+  if (r >= n_ || dst >= n_) return util::kInvalidNode;
+  return next_[std::size_t{r} * n_ + dst];
+}
+
+std::uint64_t RoutingTables::distance(util::NodeId r, util::NodeId dst) const {
+  if (r >= n_ || dst >= n_) return kUnreachable;
+  return dist_[std::size_t{r} * n_ + dst];
 }
 
 Path RoutingTables::path(util::NodeId src, util::NodeId dst) const {
   Path p;
-  if (src >= per_dst_.size() || dst >= per_dst_.size()) return p;
-  const auto& routes = per_dst_[dst];
-  if (routes.dist[src] == kUnreachable) return p;
+  if (distance(src, dst) == kUnreachable) return p;
   util::NodeId cur = src;
   p.push_back(cur);
   while (cur != dst) {
-    cur = routes.next_hop[cur];
-    if (cur == util::kInvalidNode || p.size() > per_dst_.size()) return {};
+    cur = next_hop(cur, dst);
+    if (cur == util::kInvalidNode || p.size() > n_) return {};
     p.push_back(cur);
   }
   return p;

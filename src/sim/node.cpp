@@ -317,8 +317,8 @@ void Router::set_policy_drop(util::NodeId prev, util::NodeId dst) {
   policy_routes_[key(prev, dst)] = kDropRouteSentinel;
 }
 
-void Router::clear_routes() {
-  routes_.clear();
+void Router::clear_routes(std::size_t destinations) {
+  routes_.assign(destinations, kNoRoute);
   policy_routes_.clear();
 }
 

@@ -303,7 +303,10 @@ class Router final : public Node {
   /// Installs an explicit drop for (prev, dst): no compliant route exists,
   /// and falling back to the default route is not allowed.
   void set_policy_drop(util::NodeId prev, util::NodeId dst);
-  void clear_routes();
+  /// Removes every route. `destinations` sizes the default table for that
+  /// many destination ids up front, so installing a whole table does not
+  /// regrow it.
+  void clear_routes(std::size_t destinations = 0);
 
   /// Looks up the output interface for (prev, dst); policy routes win.
   [[nodiscard]] std::optional<std::size_t> lookup(util::NodeId prev, util::NodeId dst) const;

@@ -54,7 +54,7 @@ TEST(LinkState, ConvergedRoutesMatchCentralSpf) {
   for (util::NodeId s = 0; s <= kNewYork; ++s) {
     for (util::NodeId d = 0; d <= kNewYork; ++d) {
       if (s == d) continue;
-      const util::NodeId expected = reference.to(d).next_hop[s];
+      const util::NodeId expected = reference.next_hop(s, d);
       const auto actual = a.net.router(s).lookup(s, d);
       ASSERT_TRUE(actual.has_value()) << s << "->" << d;
       EXPECT_EQ(a.net.router(s).interface(*actual).peer(), expected) << s << "->" << d;

@@ -46,7 +46,7 @@ TEST(Abilene, HeadlinePathLatencies) {
   // alternative 28 ms.
   const Topology t = abilene_topology();
   const RoutingTables tables(t);
-  EXPECT_EQ(tables.to(kNewYork).dist[kSunnyvale], 25U);
+  EXPECT_EQ(tables.distance(kSunnyvale, kNewYork), 25U);
   std::uint64_t southern = 0;
   const Path alt{kSunnyvale, kLosAngeles, kHouston, kAtlanta, kWashington, kNewYork};
   for (std::size_t i = 0; i + 1 < alt.size(); ++i) southern += t.metric(alt[i], alt[i + 1]);
