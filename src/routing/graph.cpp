@@ -1,6 +1,8 @@
 #include "routing/graph.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "sim/network.hpp"
 
@@ -11,6 +13,9 @@ void Topology::ensure_node(util::NodeId id) {
 }
 
 void Topology::add_edge(util::NodeId from, util::NodeId to, std::uint32_t metric) {
+  if (metric < kMinMetric || metric > kMaxMetric) {
+    throw std::invalid_argument("link metric " + std::to_string(metric) + " outside [1, 65535]");
+  }
   ensure_node(std::max(from, to));
   auto& edges = adj_[from];
   if (std::any_of(edges.begin(), edges.end(), [to](const Edge& e) { return e.to == to; })) {

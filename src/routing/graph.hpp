@@ -29,8 +29,14 @@ class Topology {
   /// Ensures node ids 0..id exist.
   void ensure_node(util::NodeId id);
 
+  /// OSPF's link cost range (RFC 2328 §A.4.2): 0 would read as "no edge"
+  /// to metric(), and SPF sizes its bucket ring by the largest metric.
+  static constexpr std::uint32_t kMinMetric = 1;
+  static constexpr std::uint32_t kMaxMetric = 65535;
+
   /// Adds a directed edge (idempotent for identical (from,to); keeps the
-  /// first metric).
+  /// first metric). Throws std::invalid_argument for a metric outside
+  /// [kMinMetric, kMaxMetric].
   void add_edge(util::NodeId from, util::NodeId to, std::uint32_t metric);
 
   /// Adds both directions with the same metric.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/network.hpp"
 
 namespace fatih::routing {
@@ -37,6 +39,19 @@ TEST(Topology, DuplicateEdgeIgnored) {
   t.add_edge(0, 1, 9);  // keeps the first metric
   EXPECT_EQ(t.edge_count(), 1U);
   EXPECT_EQ(t.metric(0, 1), 2U);
+}
+
+TEST(Topology, MetricOutsideOspfRangeThrows) {
+  // OSPF link costs are 16-bit and nonzero (RFC 2328 §A.4.2).
+  Topology t;
+  EXPECT_THROW(t.add_edge(0, 1, 0), std::invalid_argument);
+  EXPECT_THROW(t.add_duplex(0, 1, 65536), std::invalid_argument);
+  EXPECT_EQ(t.node_count(), 0U);
+  EXPECT_EQ(t.edge_count(), 0U);
+  t.add_edge(0, 1, 1);
+  t.add_edge(1, 0, 65535);
+  EXPECT_EQ(t.metric(0, 1), 1U);
+  EXPECT_EQ(t.metric(1, 0), 65535U);
 }
 
 TEST(Topology, NeighborsSpan) {
