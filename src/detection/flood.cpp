@@ -25,6 +25,9 @@ void FloodService::originate(util::NodeId from, std::shared_ptr<const sim::Contr
 
 void FloodService::on_control(util::NodeId at, const sim::Packet& p, util::NodeId prev) {
   if (p.control == nullptr || p.control->kind() != kind_) return;
+  // Hop copies travel neighbour-direct. A routed copy's `prev` is only the
+  // relay, so judging it would blame an honest router for its source.
+  if (p.hdr.src != prev) return;
   if (validate_fn_ && !validate_fn_(at, *p.control)) {
     if (invalid_fn_) invalid_fn_(at, prev, *p.control, net_.sim().now());
     return;

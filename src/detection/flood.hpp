@@ -24,7 +24,10 @@ class ReliableChannel;
 /// Floods control payloads to every router; delivery callbacks fire at
 /// each correct router as copies arrive. A compromised router can be told
 /// to suppress re-flooding (protocol-faulty behavior); the good-path
-/// condition keeps dissemination alive regardless.
+/// condition keeps dissemination alive regardless. Hop copies travel
+/// neighbour-direct, so an arriving copy whose source is not the hop that
+/// handed it over (hdr.src != prev, i.e. routed) is dropped unjudged: no
+/// delivery, no blame, no re-flood.
 class FloodService {
  public:
   /// `kind` selects which control payloads this service owns.

@@ -676,6 +676,41 @@ TEST(Pi2Guard, TamperedCopyOfAVettedSummaryIsRejectedAndBlamed) {
   EXPECT_EQ(suspicions, expected);
 }
 
+TEST(Pi2Guard, RoutedFloodCopyIsDroppedWithoutBlamingTheRelay) {
+  // r0 forges a summary under r3's name and addresses it to r2, two hops
+  // away, so honest r1 routes it there. Flood hop copies are always sent
+  // neighbour-direct; a routed one says nothing about the hop that handed
+  // it over. r2 must drop it unjudged, not blame r1.
+  LineNet line{5};
+  Pi2Config cfg;
+  cfg.clock = RoundClock{SimTime::origin(), Duration::seconds(1)};
+  cfg.k = 1;
+  cfg.collect_settle = Duration::millis(150);
+  cfg.evaluate_settle = Duration::millis(300);
+  cfg.policy = TvPolicy::kContentOrder;
+  cfg.rounds = 2;
+  Pi2Engine engine(line.net, line.keys, *line.paths, line.terminals(), cfg);
+  line.add_cbr(0, 4, 1, 200, SimTime::from_seconds(0.05), SimTime::from_seconds(1.9));
+  engine.start();
+  attacks::ForgedControlInjector::Config fc;
+  fc.at = 0;
+  fc.victim = 3;
+  fc.kind = kKindSummaryFlood;
+  fc.dst = 2;
+  ASSERT_FALSE(engine.monitored_by(3).empty());
+  fc.segment = engine.monitored_by(3).front();
+  fc.clock = cfg.clock;
+  fc.start = SimTime::from_seconds(1.05);
+  attacks::ForgedControlInjector inj(line.net, line.keys, fc);
+  line.net.sim().run_until(SimTime::from_seconds(3));
+
+  EXPECT_EQ(inj.injected(), 1U);
+  EXPECT_EQ(engine.guard_stats().rejected(), 0U);
+  for (const Suspicion& s : engine.suspicions()) {
+    EXPECT_FALSE(s.segment.contains(1)) << s.to_string();
+  }
+}
+
 TEST(ChiGuard, RejectedReportTracesNoRound) {
   // A report whose MAC fails has no authenticated round: the round in the
   // copy riding beside the envelope is the sender's choice, so the
