@@ -12,14 +12,15 @@
 // is keyed by (previous hop, destination), which is exactly enough to
 // avoid any banned segment of length <= 3. Longer banned segments are
 // handled conservatively by banning each interior length-3 window.
+//
+// Both run the same engine (spf.cpp): a CSR copy of the topology and
+// Dial's bucket queue, one reverse SPF per destination.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <set>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "routing/graph.hpp"
@@ -71,19 +72,25 @@ class RoutingTables {
 /// Policy routes that avoid banned path-segments.
 ///
 /// State is (prev, node): the cost-to-destination of a packet sitting at
-/// `node` having arrived from `prev`. A banned segment <a,b,c> forbids the
-/// transition b->c for packets arriving from a; a banned segment <a,b>
-/// forbids the directed link a->b outright.
+/// `node` having arrived from neighbour `prev`, or originated there
+/// (prev == node). A banned segment <a,b,c> forbids the transition b->c
+/// for packets arriving from a; a banned segment <a,b> forbids the
+/// directed link a->b outright; a banned single node forbids nothing.
+/// Each node has one state per neighbour plus its origin state, so the
+/// table holds N x (2E + N) next hops for E duplex links.
 class PolicyRoutes {
  public:
   /// `banned` segments of length 2 or 3 are enforced exactly; longer
   /// segments are decomposed into their length-3 windows (conservative:
-  /// strictly more traffic is diverted, never less).
+  /// strictly more traffic is diverted, never less). Metrics must be
+  /// symmetric, as for RoutingTables: a node's neighbours are the nodes
+  /// a packet can arrive from.
   PolicyRoutes(const Topology& topo, const std::vector<PathSegment>& banned);
 
   /// Next hop at `node` toward `dst` for a packet that arrived from
   /// `prev`; for locally-originated packets pass prev == node.
-  /// nullopt when no compliant route exists.
+  /// nullopt when no compliant route exists, when node == dst, or when
+  /// `prev` is neither `node` nor one of its neighbours.
   [[nodiscard]] std::optional<util::NodeId> next_hop(util::NodeId prev, util::NodeId node,
                                                      util::NodeId dst) const;
 
@@ -91,21 +98,21 @@ class PolicyRoutes {
   [[nodiscard]] Path path(util::NodeId src, util::NodeId dst) const;
 
  private:
-  struct StateKey {
-    util::NodeId prev;
-    util::NodeId node;
-    auto operator<=>(const StateKey&) const = default;
-  };
+  static constexpr std::uint32_t kNoState = std::numeric_limits<std::uint32_t>::max();
 
-  void compute_for_destination(const Topology& topo, util::NodeId dst);
-  [[nodiscard]] bool link_banned(util::NodeId a, util::NodeId b) const;
-  [[nodiscard]] bool triple_banned(util::NodeId a, util::NodeId b, util::NodeId c) const;
+  /// The state "at `node`, arrived from `prev`": node's CSR entry for
+  /// neighbour prev, its origin state when prev == node, kNoState when
+  /// prev is neither or either is out of range.
+  [[nodiscard]] std::uint32_t state(util::NodeId prev, util::NodeId node) const;
+  [[nodiscard]] std::size_t state_count() const { return edges_.size() + n_; }
 
   std::size_t n_ = 0;
-  std::set<std::pair<util::NodeId, util::NodeId>> banned_links_;
-  std::set<std::tuple<util::NodeId, util::NodeId, util::NodeId>> banned_triples_;
-  // next_[dst][prev * n + node] = next hop (kInvalidNode if none).
-  std::vector<std::vector<util::NodeId>> next_;
+  /// CSR copy of the topology. State i < 2E is node v's edge entry i
+  /// (first_[v] <= i < first_[v + 1]): at v, arrived from edges_[i].to.
+  /// State 2E + v is v's origin state.
+  std::vector<std::uint32_t> first_;
+  std::vector<Topology::Edge> edges_;
+  std::vector<util::NodeId> next_;  ///< next_[dst * state_count() + state]
 };
 
 }  // namespace fatih::routing
