@@ -132,49 +132,6 @@ void Interface::notify_drop(const Packet& p, DropReason reason) {
   for (const auto& tap : drop_taps_) tap(p, sim_.now(), reason);
 }
 
-void Interface::send_batch(std::span<const Packet> batch, EnqueueResult* results) {
-  if (batch.empty()) return;
-  if (!up_) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      notify_drop(batch[i], DropReason::kLinkDown);
-      results[i] = EnqueueResult::kDroppedLinkDown;
-    }
-    return;
-  }
-  std::size_t admit_depth = queue_->byte_length();
-  queue_->enqueue_batch(batch, sim_.now(), results);
-  bool any_accepted = false;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Packet& p = batch[i];
-    switch (results[i]) {
-      case EnqueueResult::kAccepted: {
-        any_accepted = true;
-        ++queued_packets_;
-        admit_depth += p.size_bytes;  // depth this packet saw, admission order
-        last_admit_depth_bytes_ = admit_depth;
-        for (const auto& tap : enqueue_taps_) tap(p, sim_.now());
-        break;
-      }
-      case EnqueueResult::kDroppedFull:
-        notify_drop(p, DropReason::kCongestion);
-        break;
-      case EnqueueResult::kDroppedRedEarly:
-        notify_drop(p, DropReason::kRedEarly);
-        break;
-      case EnqueueResult::kDroppedLinkDown:
-        notify_drop(p, DropReason::kLinkDown);
-        break;
-    }
-  }
-  if (any_accepted) {
-    // One depth sample for the whole batch: the packets were admitted at a
-    // single instant, so per-packet intermediate depths never existed.
-    FATIH_TRACE_EMIT(sim_.trace(), queue_depth(sim_.now(), owner_.id(), peer_,
-                                               queue_->byte_length(), fill_fraction()));
-    try_transmit();
-  }
-}
-
 void Interface::try_transmit() {
   if (busy_ || !up_ || queued_packets_ == 0) return;
   auto popped = queue_->dequeue(sim_.now());
@@ -461,15 +418,6 @@ void Host::send(Packet&& p) {
   }
   assert(!interfaces_.empty());
   interfaces_.front()->send(std::move(p));
-}
-
-void Host::send_batch(std::span<const Packet> batch) {
-  if (!up_ || batch.empty()) return;
-  assert(!interfaces_.empty());
-  // Loopback packets are not expected in bursts; route everything to the
-  // gateway in one admission walk.
-  std::vector<EnqueueResult> results(batch.size());
-  interfaces_.front()->send_batch(batch, results.data());
 }
 
 void Host::receive(Packet p, util::NodeId prev) {

@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -89,12 +88,6 @@ class Interface {
   /// Move-through overload: on the pass-through fast path the packet goes
   /// straight into the serialization event without a copy.
   EnqueueResult send(Packet&& p);
-  /// Batched admission for packets arriving within one link tick: one
-  /// queue-admission walk (OutputQueue::enqueue_batch), per-packet taps and
-  /// verdicts in order, one queue-depth sample after the batch (the
-  /// intermediate depths never existed at distinct times), one transmitter
-  /// kick. `results` must have batch.size() slots.
-  void send_batch(std::span<const Packet> batch, EnqueueResult* results);
 
   [[nodiscard]] util::NodeId peer() const { return peer_; }
   [[nodiscard]] std::size_t index() const { return index_; }
@@ -377,10 +370,6 @@ class Host final : public Node {
   void send(const Packet& p);
   /// Move overload: hands the packet to the gateway without a copy.
   void send(Packet&& p);
-  /// Sends a burst of packets leaving the stack in the same instant via
-  /// Interface::send_batch (one queue-admission walk). Verdicts are
-  /// discarded; queue drops still fire the drop taps.
-  void send_batch(std::span<const Packet> batch);
 
   void receive(Packet p, util::NodeId prev) override;
 };

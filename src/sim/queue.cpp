@@ -13,25 +13,6 @@ EnqueueResult DropTailQueue::enqueue(const Packet& p, util::SimTime /*now*/) {
   return EnqueueResult::kAccepted;
 }
 
-void DropTailQueue::enqueue_batch(std::span<const Packet> batch, util::SimTime /*now*/,
-                                  EnqueueResult* results) {
-  // One capacity walk and one byte-count update for the whole batch; the
-  // verdicts are exactly what per-packet enqueue would have produced in
-  // the same order (admission depends only on the running byte total).
-  std::size_t admitted_bytes = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Packet& p = batch[i];
-    if (!p.is_control() && bytes_ + admitted_bytes + p.size_bytes > limit_) {
-      results[i] = EnqueueResult::kDroppedFull;
-      continue;
-    }
-    admitted_bytes += p.size_bytes;
-    q_.push_back(p);
-    results[i] = EnqueueResult::kAccepted;
-  }
-  bytes_ += admitted_bytes;
-}
-
 std::optional<Packet> DropTailQueue::dequeue(util::SimTime /*now*/) {
   if (q_.empty()) return std::nullopt;
   Packet p = std::move(q_.front());

@@ -9,8 +9,6 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "sim/packet.hpp"
 #include "util/time.hpp"
@@ -50,17 +48,6 @@ class OutputQueue {
     return false;
   }
 
-  /// Batched admission: offers `batch` in order, writing one verdict per
-  /// packet into `results` (which must have batch.size() slots). The
-  /// default loops over enqueue(); implementations override to amortize
-  /// per-packet bookkeeping (capacity checks, byte accounting) across the
-  /// batch. Verdict semantics are identical to per-packet enqueue in the
-  /// same order.
-  virtual void enqueue_batch(std::span<const Packet> batch, util::SimTime now,
-                             EnqueueResult* results) {
-    for (std::size_t i = 0; i < batch.size(); ++i) results[i] = enqueue(batch[i], now);
-  }
-
   [[nodiscard]] virtual std::size_t byte_length() const = 0;
   [[nodiscard]] virtual std::size_t packet_count() const = 0;
   [[nodiscard]] virtual std::size_t byte_limit() const = 0;
@@ -78,8 +65,6 @@ class DropTailQueue final : public OutputQueue {
   [[nodiscard]] bool pass_through(const Packet& p, util::SimTime /*now*/) const override {
     return q_.empty() && (p.is_control() || p.size_bytes <= limit_);
   }
-  void enqueue_batch(std::span<const Packet> batch, util::SimTime now,
-                     EnqueueResult* results) override;
   [[nodiscard]] std::size_t byte_length() const override { return bytes_; }
   [[nodiscard]] std::size_t packet_count() const override { return q_.size(); }
   [[nodiscard]] std::size_t byte_limit() const override { return limit_; }

@@ -18,31 +18,6 @@ void send_datagram(sim::Network& net, util::NodeId src, util::NodeId dst, std::u
   }
 }
 
-void send_burst(sim::Network& net, util::NodeId src, util::NodeId dst, std::uint32_t flow_id,
-                std::uint32_t first_seq, std::uint32_t count, std::uint32_t payload_bytes) {
-  if (count == 0) return;
-  if (net.is_router(src) || count == 1) {
-    // Routers originate through the forwarding chain one packet at a time
-    // (each may take a different route / filter decision).
-    for (std::uint32_t i = 0; i < count; ++i) {
-      send_datagram(net, src, dst, flow_id, first_seq + i, payload_bytes);
-    }
-    return;
-  }
-  sim::PacketHeader hdr;
-  hdr.src = src;
-  hdr.dst = dst;
-  hdr.flow_id = flow_id;
-  hdr.proto = sim::Protocol::kUdp;
-  std::vector<sim::Packet> burst;
-  burst.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    hdr.seq = first_seq + i;
-    burst.push_back(net.make_packet(hdr, payload_bytes));
-  }
-  net.host(src).send_batch(burst);
-}
-
 // ---------------------------------------------------------------- CbrSource
 
 CbrSource::CbrSource(sim::Network& net, Config config) : net_(net), config_(config) {
@@ -54,14 +29,7 @@ CbrSource::CbrSource(sim::Network& net, Config config) : net_(net), config_(conf
 void CbrSource::tick() {
   sim::Simulator& sim = net_.node_sim(config_.src);
   if (sim.now() >= config_.stop) return;
-  const std::uint32_t burst = config_.packets_per_tick > 0 ? config_.packets_per_tick : 1;
-  if (burst == 1) {
-    send_datagram(net_, config_.src, config_.dst, config_.flow_id, seq_++, config_.payload_bytes);
-  } else {
-    send_burst(net_, config_.src, config_.dst, config_.flow_id, seq_, burst,
-               config_.payload_bytes);
-    seq_ += burst;
-  }
+  send_datagram(net_, config_.src, config_.dst, config_.flow_id, seq_++, config_.payload_bytes);
   // tick() only ever runs as an event callback (ctor schedules the first
   // one), so the timer re-arms in place instead of re-installing itself.
   sim.rearm_current(util::Duration::from_seconds(1.0 / config_.rate_pps));

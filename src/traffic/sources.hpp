@@ -21,13 +21,6 @@ namespace fatih::traffic {
 void send_datagram(sim::Network& net, util::NodeId src, util::NodeId dst, std::uint32_t flow_id,
                    std::uint32_t seq, std::uint32_t payload_bytes);
 
-/// Sends `count` packets (seq = first_seq .. first_seq+count-1) in the same
-/// instant. Host sources go through Interface::send_batch — one queue
-/// admission walk for the burst; router sources fall back to per-packet
-/// origination (each packet takes the full forwarding chain).
-void send_burst(sim::Network& net, util::NodeId src, util::NodeId dst, std::uint32_t flow_id,
-                std::uint32_t first_seq, std::uint32_t count, std::uint32_t payload_bytes);
-
 /// Constant-bit-rate source: fixed-size packets at a fixed interval.
 class CbrSource {
  public:
@@ -36,10 +29,7 @@ class CbrSource {
     util::NodeId dst = util::kInvalidNode;
     std::uint32_t flow_id = 0;
     std::uint32_t payload_bytes = 960;  ///< + 40B header = 1000B wire size
-    double rate_pps = 100.0;            ///< tick rate (bursts multiply throughput)
-    /// Packets emitted per tick. >1 models back-to-back line-rate bursts
-    /// and exercises the batched admission path (send_burst).
-    std::uint32_t packets_per_tick = 1;
+    double rate_pps = 100.0;
     util::SimTime start;
     util::SimTime stop = util::SimTime::infinity();
   };
