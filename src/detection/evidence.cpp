@@ -9,6 +9,9 @@ namespace fatih::detection {
 
 namespace {
 constexpr const char* kComponent = "conviction";
+/// Distinct precision-1 witnesses required to convict without a proof.
+/// 3 tolerates any single liar AND any colluding pair.
+constexpr std::size_t kWitnessQuorum = 3;
 
 std::uint64_t payload_key(const sim::ControlPayload& payload) {
   const auto& p = static_cast<const AccusationPayload&>(payload);
@@ -61,12 +64,8 @@ bool valid_equivocation_proof(const crypto::KeyRegistry& keys,
   return false;
 }
 
-ConvictionEngine::ConvictionEngine(sim::Network& net, const crypto::KeyRegistry& keys,
-                                   ConvictionConfig config)
-    : net_(net),
-      keys_(keys),
-      config_(config),
-      guard_(net, keys, obs::TraceSource::kConviction) {
+ConvictionEngine::ConvictionEngine(sim::Network& net, const crypto::KeyRegistry& keys)
+    : net_(net), keys_(keys), guard_(net, keys, obs::TraceSource::kConviction) {
   flood_ = std::make_unique<FloodService>(net_, kKindAccusation);
   flood_->set_key_fn(payload_key);
   const auto check = [this](const sim::ControlPayload& payload, std::optional<Accusation>& out) {
@@ -150,7 +149,7 @@ void ConvictionEngine::on_accusation(const Accusation& acc) {
   if (convicted_.contains(target)) return;
   auto& voters = votes_[target];
   if (!voters.insert(acc.accuser).second) return;  // one vote per accuser
-  if (voters.size() >= config_.witness_quorum) {
+  if (voters.size() >= kWitnessQuorum) {
     convict(target, acc.round, "witness-quorum",
             std::vector<util::NodeId>(voters.begin(), voters.end()));
   }

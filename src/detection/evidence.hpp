@@ -13,8 +13,8 @@
 //   * forged evidence: a well-signed accusation whose attached "proof"
 //     does not check out. The accusation itself is signed, so shipping a
 //     fabricated proof convicts the ACCUSER;
-//   * a witness quorum: >= `witness_quorum` DISTINCT accusers each filing
-//     an evidence-free precision-1 accusation against the same router
+//   * a witness quorum: >= 3 DISTINCT accusers each filing an
+//     evidence-free precision-1 accusation against the same router
 //     (self-votes excluded).
 //
 // Precision-2 accusations NEVER convict: a colluding pair adjacent to an
@@ -44,12 +44,6 @@ namespace fatih::detection {
                                             std::span<const crypto::SignedEnvelope> evidence,
                                             util::NodeId* culprit);
 
-struct ConvictionConfig {
-  /// Distinct precision-1 witnesses required to convict without a proof.
-  /// 3 tolerates any single liar AND any colluding pair.
-  std::size_t witness_quorum = 3;
-};
-
 /// One conviction verdict from the shared ledger.
 struct Conviction {
   util::NodeId accused = util::kInvalidNode;
@@ -67,8 +61,7 @@ struct Conviction {
 /// single evaluation keeps the simulation state small.
 class ConvictionEngine {
  public:
-  ConvictionEngine(sim::Network& net, const crypto::KeyRegistry& keys,
-                   ConvictionConfig config = {});
+  ConvictionEngine(sim::Network& net, const crypto::KeyRegistry& keys);
 
   /// Honest entry point: router `accuser` signs and floods an accusation.
   /// `detector` is the raw obs::TraceSource of the engine that raised the
@@ -98,7 +91,6 @@ class ConvictionEngine {
 
   sim::Network& net_;
   const crypto::KeyRegistry& keys_;
-  ConvictionConfig config_;
   ControlGuard guard_;
   std::unique_ptr<FloodService> flood_;
   util::FlatSet<std::uint64_t> processed_;  ///< accusation keys already ledgered

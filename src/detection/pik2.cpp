@@ -7,6 +7,11 @@
 #include "validation/reconcile.hpp"
 
 namespace fatih::detection {
+namespace {
+/// Bloom sizing (kBloom): bits per recorded packet, and hash count.
+constexpr std::size_t kBloomBitsPerPacket = 10;
+constexpr std::uint32_t kBloomHashes = 4;
+}  // namespace
 
 Pik2Engine::Pik2Engine(sim::Network& net, const crypto::KeyRegistry& keys, const PathCache& paths,
                        const std::vector<util::NodeId>& terminals, Pik2Config config)
@@ -92,12 +97,12 @@ void Pik2Engine::exchange(std::int64_t round) {
       if (config_.compression == SummaryCompression::kBloom) {
         // Bloom digest (§2.4.1): size the filter for the reference rate
         // seen this round, with a floor so empty rounds stay comparable.
-        const std::size_t bits = std::max<std::size_t>(
-            512, summary.content.size() * config_.bloom_bits_per_packet);
-        validation::BloomFilter filter(bits, config_.bloom_hashes);
+        const std::size_t bits =
+            std::max<std::size_t>(512, summary.content.size() * kBloomBitsPerPacket);
+        validation::BloomFilter filter(bits, kBloomHashes);
         for (auto fp : summary.content) filter.insert(fp);
         summary.bloom_words = filter.words();
-        summary.bloom_hashes = static_cast<std::uint32_t>(config_.bloom_hashes);
+        summary.bloom_hashes = kBloomHashes;
         summary.content.clear();
       } else if (config_.compression == SummaryCompression::kReconcile) {
         // Appendix A: ship O(d) evaluations instead of O(n) fingerprints.

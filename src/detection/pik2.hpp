@@ -49,9 +49,6 @@ struct Pik2Config {
   /// Reconciliation difference bound (kReconcile); a diff beyond it is by
   /// itself a TV failure, so set it above the loss thresholds.
   std::size_t reconcile_bound = 32;
-  /// Bloom sizing (kBloom): bits per recorded packet, and hash count.
-  std::size_t bloom_bits_per_packet = 10;
-  std::size_t bloom_hashes = 4;
   /// When enabled, the end-to-end summary exchange runs over the reliable
   /// ack/retransmit channel (duplicate-suppressed on (reporter, segment,
   /// round, kind)); exchange_timeout must cover the retry schedule. A

@@ -14,6 +14,10 @@ namespace {
 /// forked from the network rng: constructing a channel must not perturb
 /// the rng stream existing experiments consume.
 constexpr std::uint64_t kChannelSeedTag = 0x52454C4943484E4CULL;  // "RELICHNL"
+/// Multiplier applied to the RTO after each retransmission.
+constexpr double kBackoff = 2.0;
+/// Simulated wire size of an ack packet (payload only, header extra).
+constexpr std::uint32_t kAckBytes = 48;
 }  // namespace
 
 std::uint64_t summary_dedup_key(util::NodeId reporter, const routing::PathSegment& segment,
@@ -122,7 +126,7 @@ void ReliableChannel::on_timeout(const PendingKey& key) {
                    exchange(net_.sim().now(), obs::TraceSource::kReliable,
                             obs::TraceCode::kExchangeRetransmit, std::get<0>(key),
                             std::get<1>(key), -1, p.attempts));
-  p.rto = std::min(p.rto.scaled(config_.backoff), config_.max_rto);
+  p.rto = std::min(p.rto.scaled(kBackoff), config_.max_rto);
   transmit(key, p);
   arm_timer(key, p);
 }
@@ -137,8 +141,8 @@ void ReliableChannel::on_message(util::NodeId at, const sim::Packet& p) {
   ack->acker = at;
   ack->tag = ack_tag(keys_, kind_, key, at, p.hdr.src);
   ++stats_.acks_sent;
-  stats_.ack_bytes += sim::kHeaderBytes + config_.ack_bytes;
-  emit(at, p.hdr.src, std::move(ack), config_.ack_bytes, Via::kRouted);
+  stats_.ack_bytes += sim::kHeaderBytes + kAckBytes;
+  emit(at, p.hdr.src, std::move(ack), kAckBytes, Via::kRouted);
   if (!seen_[at].insert(key).second) {
     ++stats_.duplicates;
     return;

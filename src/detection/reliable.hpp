@@ -63,16 +63,12 @@ struct ReliableConfig {
   /// Clamp for the adaptive RTO (SRTT + 4*RTTVAR).
   util::Duration min_rto = util::Duration::millis(10);
   util::Duration max_rto = util::Duration::millis(200);
-  /// Multiplier applied to the RTO after each retransmission.
-  double backoff = 2.0;
   /// Each armed timer is scaled by 1 + jitter*U(-1,1) (deterministic via
   /// the channel's seeded rng) to de-synchronize retry bursts.
   double jitter = 0.25;
   /// Retransmissions after the first send; exhausting the budget fires
   /// the FailureFn and abandons the message.
   std::size_t max_retries = 6;
-  /// Simulated wire size of an ack packet (payload only, header extra).
-  std::uint32_t ack_bytes = 48;
 };
 
 /// Canonical duplicate-suppression key for summary-shaped control

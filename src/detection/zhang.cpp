@@ -10,6 +10,9 @@ namespace fatih::detection {
 
 namespace {
 constexpr double kMeanPacketBytes = 1000.0;
+/// Alarm when observed losses exceed predicted by this many standard
+/// deviations (Poisson: variance = mean).
+constexpr double kZThreshold = 4.0;
 }
 
 ZhangDetector::ZhangDetector(sim::Network& net, const crypto::KeyRegistry& keys,
@@ -97,7 +100,7 @@ void ZhangDetector::validate(std::int64_t round) {
     // variance equals the mean).
     stats.predicted_loss = predict_loss(fitted_rate_);
     const double bound =
-        stats.predicted_loss + config_.z_threshold * std::sqrt(stats.predicted_loss + 1.0);
+        stats.predicted_loss + kZThreshold * std::sqrt(stats.predicted_loss + 1.0);
     if (static_cast<double>(stats.lost) > bound) {
       stats.alarmed = true;
       Suspicion s;

@@ -32,9 +32,6 @@ struct ZhangConfig {
   util::Duration settle = util::Duration::millis(400);
   /// Rounds used to fit the mean arrival rate before tests arm.
   std::int64_t learning_rounds = 3;
-  /// Alarm when observed losses exceed predicted by this many standard
-  /// deviations (Poisson: variance = mean).
-  double z_threshold = 4.0;
   std::int64_t rounds = 0;
 };
 

@@ -10,6 +10,9 @@ using sim::kFlagSyn;
 
 namespace {
 constexpr std::uint32_t kAckBytes = 0;  // pure ACK: header only
+constexpr double kInitialCwnd = 2.0;
+constexpr double kMaxCwnd = 1e9;  // packets; effectively the receive window
+constexpr util::Duration kSynRto = util::Duration::seconds(3);  // RFC 6298 initial RTO
 
 void dispatch(sim::Network& net, util::NodeId from, const sim::Packet& p) {
   if (net.is_router(from)) {
@@ -27,8 +30,8 @@ TcpFlow::TcpFlow(sim::Network& net, util::NodeId src, util::NodeId dst, std::uin
       dst_(dst),
       flow_id_(flow_id),
       config_(config),
-      cwnd_(config.initial_cwnd),
-      rto_(config.syn_rto) {
+      cwnd_(kInitialCwnd),
+      rto_(kSynRto) {
   net_.node(src_).add_local_handler(
       [this](const sim::Packet& p, util::NodeId, util::SimTime now) {
         if (p.hdr.proto == sim::Protocol::kTcp && p.hdr.flow_id == flow_id_ &&
@@ -186,7 +189,7 @@ void TcpFlow::on_ack(std::uint32_t cum_ack, util::SimTime now) {
           cwnd_ += 1.0 / cwnd_;  // congestion avoidance
         }
       }
-      cwnd_ = std::min(cwnd_, config_.max_cwnd);
+      cwnd_ = std::min(cwnd_, kMaxCwnd);
     }
 
     if (completed()) {

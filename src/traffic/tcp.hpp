@@ -24,10 +24,7 @@ namespace fatih::traffic {
 
 struct TcpConfig {
   std::uint32_t mss_bytes = 960;  ///< payload per data packet (+40B header)
-  double initial_cwnd = 2.0;
-  double max_cwnd = 1e9;  ///< packets; effectively the receive window
   util::Duration min_rto = util::Duration::seconds(1);
-  util::Duration syn_rto = util::Duration::seconds(3);  ///< RFC 6298 initial RTO
   /// Packets to deliver; 0 = run until the experiment ends.
   std::uint64_t packets_to_send = 0;
 };
