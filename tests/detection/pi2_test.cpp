@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -290,6 +292,105 @@ TEST(Pi2FloodKey, GroupsCopiesAsTheFullContentKeyDoes) {
   std::set<std::uint64_t> groups;
   for (const auto& p : copies) groups.insert(summary_flood_key(p));
   EXPECT_EQ(groups.size(), copies.size() - 2);
+}
+
+TEST(Pi2FloodKey, FollowsTheCopyNotTheObjectItWasCopiedFrom) {
+  const crypto::KeyRegistry keys{777};
+  const auto built = [](const SegmentSummary& s, const crypto::SignedEnvelope& env) {
+    SegmentSummaryPayload p;
+    p.kind_tag = kKindSummaryFlood;
+    p.envelope = env;
+    p.summary = s;
+    return p;
+  };
+  SegmentSummary s;
+  s.reporter = 1;
+  s.segment = routing::PathSegment{0, 1, 2};
+  s.round = 4;
+  s.content = {11, 22, 33};
+  s.counters.add(1000);
+  const SegmentSummaryPayload original = built(s, crypto::sign(keys, 1, s.to_bytes()));
+  const std::uint64_t key = summary_flood_key(original);
+
+  // A copy of a payload whose key was read, then changed before its own
+  // first send, is keyed by its own fields.
+  SegmentSummaryPayload copy = original;
+  copy.summary.round = 5;
+  const std::uint64_t copy_key = summary_flood_key(copy);
+  EXPECT_EQ(copy_key, summary_flood_key(built(copy.summary, copy.envelope)));
+  EXPECT_NE(copy_key, key);
+
+  // The same for an assignment, changing the counters.
+  SegmentSummaryPayload assigned = built(s, original.envelope);
+  EXPECT_EQ(summary_flood_key(assigned), key);
+  assigned = original;
+  assigned.summary.counters.add(500);
+  const std::uint64_t assigned_key = summary_flood_key(assigned);
+  EXPECT_EQ(assigned_key, summary_flood_key(built(assigned.summary, assigned.envelope)));
+  EXPECT_NE(assigned_key, key);
+  EXPECT_EQ(summary_flood_key(original), key);
+}
+
+// ------------------------------------------ variants held at evaluation
+
+/// Reporter r2 equivocates on its round-1 summary of <1,2,3> so that the
+/// routers on either side of it hold different variants when round 1 is
+/// evaluated: r0 and r1 the honest one, r3 and r4 one that claims half the
+/// packets. Its regular summary is withheld; both variants are injected
+/// after the round's dissemination has settled, each while the link to the
+/// other side is down. Each router judges by the variant it holds.
+TEST(Pi2, RoutersJudgeTheVariantTheyHold) {
+  LineNet line{5};
+  auto cfg = fast_config(2);
+  Pi2Engine engine(line.net, line.keys, *line.paths, line.terminals(), cfg);
+  // Traffic ends well before round 1's dissemination at 2.15 s, so the
+  // link changes below touch control traffic only.
+  line.add_cbr(0, 4, 1, 200, SimTime::from_seconds(0.05), SimTime::from_seconds(1.9));
+  line.add_cbr(4, 0, 2, 150, SimTime::from_seconds(0.05), SimTime::from_seconds(1.9));
+  const routing::PathSegment seg{1, 2, 3};
+  std::optional<SegmentSummary> honest;
+  engine.set_report_mutator(2, [&](SegmentSummary& s) {
+    if (s.round != 1 || s.segment != seg) return true;
+    honest = s;
+    return false;
+  });
+  auto& sim = line.net.sim();
+  sim.schedule_at(SimTime::from_seconds(2.20), [&] {
+    ASSERT_TRUE(honest.has_value());
+    line.net.set_link_up(2, 3, false);
+    engine.inject_summary(2, *honest);
+  });
+  sim.schedule_at(SimTime::from_seconds(2.25), [&] {
+    line.net.set_link_up(2, 3, true);
+    line.net.set_link_up(1, 2, false);
+    SegmentSummary lie = *honest;
+    lie.content.resize(lie.content.size() / 2);
+    lie.counters = {};
+    for (std::size_t i = 0; i < lie.content.size(); ++i) lie.counters.add(1000);
+    engine.inject_summary(2, lie);
+  });
+  sim.schedule_at(SimTime::from_seconds(2.30), [&] { line.net.set_link_up(1, 2, true); });
+  engine.start();
+  sim.run_until(SimTime::from_seconds(3.0));
+  ASSERT_TRUE(honest.has_value());
+  ASSERT_GT(honest->content.size(), 100U);
+
+  std::map<util::NodeId, std::set<routing::PathSegment>> tv_failed;
+  for (const Suspicion& s : engine.suspicions()) {
+    if (s.cause == "tv-failed") tv_failed[s.reporter].insert(s.segment);
+    // Nobody is short of a summary: every router holds one variant.
+    EXPECT_NE(s.cause, "withheld-summary") << s.to_string();
+    if (s.cause == "equivocation") {
+      EXPECT_EQ(s.reporter, 2U) << s.to_string();
+    }
+    EXPECT_EQ(cfg.clock.round_of(s.interval.begin), 1) << s.to_string();
+  }
+  const std::set<routing::PathSegment> lied_about{routing::PathSegment{1, 2},
+                                                  routing::PathSegment{2, 3}};
+  EXPECT_FALSE(tv_failed.contains(0));
+  EXPECT_FALSE(tv_failed.contains(1));
+  EXPECT_EQ(tv_failed[3], lied_about);
+  EXPECT_EQ(tv_failed[4], lied_about);
 }
 
 }  // namespace
