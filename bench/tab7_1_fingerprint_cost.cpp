@@ -103,9 +103,9 @@ void BM_FloodHop(benchmark::State& state) {
   // What a Π2 flood hop copy costs its receiver before dedup: the guard's
   // MAC check, strict parse and signer check, then the flood key.
   // range(0) fingerprints: 0, 128 and 512 span the payloads the flood
-  // carries (about 100 B, 1.1 KB and 4.2 KB). range(1) = 1 checks a
-  // payload object the guard has already judged, as every copy of a flood
-  // after its first is.
+  // carries (about 100 B, 1.1 KB and 4.2 KB). range(1) = 1 checks and
+  // keys a payload object the guard has already judged and keyed, as every
+  // copy of a flood after its first is.
   sim::Network net{1};
   for (util::NodeId r = 0; r < 4; ++r) net.add_router(util::node_name(r));
   const crypto::KeyRegistry keys{7};
@@ -129,8 +129,8 @@ void BM_FloodHop(benchmark::State& state) {
     benchmark::DoNotOptimize(guard.check_summary(copy, view));
   }
   for (auto _ : state) {
-    // Assigning the verdict cache resets it: every copy is a first check.
-    if (!duplicate) copy.verdict = detection::VerdictCache{};
+    // Assigning the payload cache resets it: every copy is a first check.
+    if (!duplicate) copy.cache = detection::PayloadCache{};
     std::optional<detection::SegmentSummaryView> view;
     benchmark::DoNotOptimize(guard.check_summary(copy, view));
     benchmark::DoNotOptimize(detection::summary_flood_key(copy));

@@ -39,12 +39,12 @@ void corrupt(crypto::SignedEnvelope& env) {
 }
 
 /// Deep-copies a signed detection payload of type `Payload` and corrupts
-/// the copy's envelope. The copy starts unjudged, so the write comes
-/// before any guard has seen it.
+/// the copy's envelope. The copy starts unjudged and unkeyed, so the
+/// write comes before any guard or flood has seen it.
 template <typename Payload>
 std::shared_ptr<const sim::ControlPayload> corrupted_copy(const sim::ControlPayload& c) {
   auto out = std::make_shared<Payload>(static_cast<const Payload&>(c));
-  assert(!out->verdict.judged());
+  assert(!out->cache.judged() && !out->cache.keyed());
   corrupt(out->envelope);
   return out;
 }
@@ -136,12 +136,13 @@ void ForgedControlInjector::fire() {
     env.payload = std::move(bytes);
     env.tag = 0xDEADC0DEDEADC0DEULL;  // fabricated; cannot verify
   }
-  // Written before the first send, so no guard has judged the payload.
+  // Written before the first send, so no guard has judged the payload and
+  // no flood has keyed it.
   if (auto* p = dynamic_cast<detection::SegmentSummaryPayload*>(payload.get())) {
-    assert(!p->verdict.judged());
+    assert(!p->cache.judged() && !p->cache.keyed());
     p->envelope = std::move(env);
   } else if (auto* p = dynamic_cast<detection::ChiReportPayload*>(payload.get())) {
-    assert(!p->verdict.judged());
+    assert(!p->cache.judged() && !p->cache.keyed());
     p->envelope = std::move(env);
   }
 

@@ -25,10 +25,11 @@
 // Mutation rule: an attack writes a payload only before its first send —
 // ForgedControlInjector fills a fresh payload, ControlTamperAttack
 // corrupts a deep copy — and never touches an object already in flight.
-// The guards keep their verdict on the payload object (VerdictCache in
-// detection/messages.hpp), so writing a sent payload in place would let
-// it keep a verdict its new bytes never earned; both write sites assert
-// that no guard has judged the object yet.
+// The guards keep their verdict and the floods their key on the payload
+// object (PayloadCache in detection/messages.hpp), so writing a sent
+// payload in place would let it keep a verdict its new bytes never earned
+// and a key they do not hash to; both write sites assert that no guard
+// has judged the object and no flood has keyed it yet.
 #pragma once
 
 #include <cstdint>

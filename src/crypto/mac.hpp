@@ -56,6 +56,13 @@ void append_bytes(std::vector<std::byte>& out, const T& value) {
   out.insert(out.end(), p, p + sizeof(T));
 }
 
+/// Byte equality of two blobs, through memcmp. Payload compares go through
+/// here: libstdc++ compares two std::vector<std::byte> one byte at a time.
+[[nodiscard]] inline bool equal_bytes(std::span<const std::byte> a,
+                                      std::span<const std::byte> b) {
+  return a.size() == b.size() && (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
+
 /// Deserialization helper: reads a trivially-copyable value at `offset`
 /// and advances it. Returns false if the blob is too short.
 template <typename T>

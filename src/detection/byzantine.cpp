@@ -30,7 +30,7 @@ bool ControlGuard::verify(const crypto::SignedEnvelope& env) const {
 
 template <typename Payload, typename Decode>
 ControlVerdict ControlGuard::judge(const Payload& payload, Decode&& decode) const {
-  std::optional<ControlVerdict>& cached = payload.verdict.verdict_;
+  std::optional<ControlVerdict>& cached = payload.cache.verdict_;
   if (cached.has_value()) {
     return *cached == ControlVerdict::kOk ? decode(payload.envelope) : *cached;
   }

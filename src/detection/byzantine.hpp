@@ -64,7 +64,7 @@ class ControlGuard {
   /// whatever hop attribution it has. The envelope payload is
   /// authoritative — callers must use the decoded value, never a
   /// convenience copy that rode alongside it. The verdict is kept on the
-  /// payload object (VerdictCache), so a later check of the same object
+  /// payload object (PayloadCache), so a later check of the same object
   /// skips the MAC and, on success, only decodes again.
   [[nodiscard]] ControlVerdict check_summary(const SegmentSummaryPayload& payload,
                                              std::optional<SegmentSummary>& out) const;

@@ -125,36 +125,52 @@ struct SegmentSummaryView {
 
 enum class ControlVerdict : std::uint8_t;  // detection/byzantine.hpp
 
-/// ControlGuard's verdict on one payload object: its MAC, strict parse
-/// and signer check. They read only the object's envelope and the key
-/// registry, and every guard on one network is built from that network's
-/// single KeyRegistry, so the first check of an object decides for every
-/// guard and every later check is an O(1) hit. Every hop copy of a flood
-/// is the same shared object. Round admission, the accept/reject counts,
-/// tracing and hop blame still run for each copy.
+/// What one payload object's receivers derive from its bytes, computed on
+/// the object once and read by every later check and every hop copy:
+///  - ControlGuard's verdict: its MAC, strict parse and signer check. They
+///    read only the object's envelope and the key registry, and every
+///    guard on one network is built from that network's single
+///    KeyRegistry, so the first check of an object decides for every guard
+///    and every later check is an O(1) hit;
+///  - the flood key (summary_flood_key, the conviction layer's accusation
+///    key), which is also the reliable channel's ack msg_key.
+/// Every hop copy of a flood is the same shared object. Round admission,
+/// the accept/reject counts, tracing and hop blame still run for each copy.
 ///
-/// The verdict stays true because a payload is written only before its
-/// first send (attacks/byzantine.hpp states the rule for the attacks and
-/// asserts it where they write); after that it is shared immutable state.
-/// Copying or assigning the member resets it, so a deep copy such as a
-/// tamperer's clone starts unjudged and is checked in full. Under the
-/// sharded engine every check runs in the barrier's serial phase (the
-/// control replay, then the control simulator's round timers), so the
-/// cache is never written while PoP workers run.
-class VerdictCache {
+/// Both stay true because a payload is written only before its first send
+/// (attacks/byzantine.hpp states the rule for the attacks and asserts it
+/// where they write); after that it is shared immutable state. Copying or
+/// assigning the member resets it, so a deep copy such as a tamperer's
+/// clone starts unjudged and unkeyed and is checked and keyed in full.
+/// Under the sharded engine every check and every flood key runs in the
+/// barrier's serial phase (the control replay, then the control
+/// simulator's round timers), so the cache is never written while PoP
+/// workers run.
+class PayloadCache {
  public:
-  VerdictCache() = default;
-  VerdictCache(const VerdictCache& /*other*/) noexcept : verdict_(std::nullopt) {}
-  VerdictCache& operator=(const VerdictCache& /*other*/) noexcept {
+  PayloadCache() = default;
+  PayloadCache(const PayloadCache& /*other*/) noexcept
+      : verdict_(std::nullopt), flood_key_(std::nullopt) {}
+  PayloadCache& operator=(const PayloadCache& /*other*/) noexcept {
     verdict_ = std::nullopt;
+    flood_key_ = std::nullopt;
     return *this;
   }
 
   [[nodiscard]] bool judged() const { return verdict_.has_value(); }
+  [[nodiscard]] bool keyed() const { return flood_key_.has_value(); }
+
+  /// The flood key: `compute()` on the first call, the kept value after.
+  template <typename Compute>
+  [[nodiscard]] std::uint64_t flood_key(Compute&& compute) const {
+    if (!flood_key_.has_value()) flood_key_ = compute();
+    return *flood_key_;
+  }
 
  private:
   friend class ControlGuard;
   mutable std::optional<ControlVerdict> verdict_;
+  mutable std::optional<std::uint64_t> flood_key_;
 };
 
 /// A signed SegmentSummary in flight (both the Pi(k+2) unicast exchange
@@ -162,7 +178,7 @@ class VerdictCache {
 struct SegmentSummaryPayload final : sim::ControlPayload {
   SegmentSummary summary;
   crypto::SignedEnvelope envelope;
-  VerdictCache verdict;
+  PayloadCache cache;
   std::uint16_t kind_tag = kKindSegmentSummary;
   [[nodiscard]] std::uint16_t kind() const override { return kind_tag; }
 };
@@ -201,7 +217,7 @@ struct ChiReport {
 struct ChiReportPayload final : sim::ControlPayload {
   ChiReport report;
   crypto::SignedEnvelope envelope;
-  VerdictCache verdict;
+  PayloadCache cache;
   [[nodiscard]] std::uint16_t kind() const override { return kKindChiReport; }
 };
 
@@ -232,7 +248,7 @@ struct Accusation {
 struct AccusationPayload final : sim::ControlPayload {
   Accusation accusation;
   crypto::SignedEnvelope envelope;  ///< signed by the accuser over to_bytes()
-  VerdictCache verdict;
+  PayloadCache cache;
   [[nodiscard]] std::uint16_t kind() const override { return kKindAccusation; }
 };
 

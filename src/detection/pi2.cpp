@@ -4,36 +4,39 @@
 #include <array>
 #include <compare>
 
+#include "crypto/mac.hpp"
 #include "crypto/siphash.hpp"
 #include "validation/summary.hpp"
 
 namespace fatih::detection {
 
 std::uint64_t summary_flood_key(const SegmentSummaryPayload& p) {
-  // Everything SegmentSummary::encode feeds except the bytes of its three
-  // element lists, plus the tag. The tag is the MAC over signer ‖ payload,
-  // so it binds the lists: two MAC-valid copies that agree here but differ
-  // there would need a tag collision. Equivocating summaries differ in
-  // their tags, so BOTH flood. The summary fields keep apart the
-  // unvalidated copies a reliable channel keys, such as forgeries that
-  // share a fabricated tag. The fixed-size fields are widened to words and
-  // hashed as one block, not field by field.
-  constexpr crypto::SipKey kKey{0x50493246C00DF00DULL, 0x64697373656D3031ULL};
-  const SegmentSummary& s = p.summary;
-  const std::array<std::uint64_t, 10> fields{s.reporter,
-                                             s.segment.length(),
-                                             static_cast<std::uint64_t>(s.round),
-                                             s.counters.packets,
-                                             s.counters.bytes,
-                                             s.content.size(),
-                                             s.recon_evals.size(),
-                                             s.bloom_words.size(),
-                                             s.bloom_hashes,
-                                             p.envelope.tag};
-  crypto::SipHasher h(kKey);
-  h.update(fields.data(), sizeof(fields));
-  h.update(s.segment.nodes().data(), s.segment.length() * sizeof(util::NodeId));
-  return h.finish();
+  return p.cache.flood_key([&p] {
+    // Everything SegmentSummary::encode feeds except the bytes of its
+    // three element lists, plus the tag. The tag is the MAC over signer ‖
+    // payload, so it binds the lists: two MAC-valid copies that agree here
+    // but differ there would need a tag collision. Equivocating summaries
+    // differ in their tags, so BOTH flood. The summary fields keep apart
+    // the unvalidated copies a reliable channel keys, such as forgeries
+    // that share a fabricated tag. The fixed-size fields are widened to
+    // words and hashed as one block, not field by field.
+    constexpr crypto::SipKey kKey{0x50493246C00DF00DULL, 0x64697373656D3031ULL};
+    const SegmentSummary& s = p.summary;
+    const std::array<std::uint64_t, 10> fields{s.reporter,
+                                               s.segment.length(),
+                                               static_cast<std::uint64_t>(s.round),
+                                               s.counters.packets,
+                                               s.counters.bytes,
+                                               s.content.size(),
+                                               s.recon_evals.size(),
+                                               s.bloom_words.size(),
+                                               s.bloom_hashes,
+                                               p.envelope.tag};
+    crypto::SipHasher h(kKey);
+    h.update(fields.data(), sizeof(fields));
+    h.update(s.segment.nodes().data(), s.segment.length() * sizeof(util::NodeId));
+    return h.finish();
+  });
 }
 
 namespace {
@@ -187,7 +190,7 @@ void Pi2Engine::on_delivery(util::NodeId at, const sim::ControlPayload& payload)
     held = vars.begin();
   } else if (verdict == Statement::kConflict) {
     held = std::find_if(vars.begin() + 1, vars.end(), [&p](const Variant& v) {
-      return v.payload == p.envelope.payload;
+      return crypto::equal_bytes(v.payload, p.envelope.payload);
     });
   }
   const auto vidx = static_cast<std::uint32_t>(held - vars.begin());
@@ -260,6 +263,20 @@ void Pi2Engine::evaluate(std::int64_t round) {
   const std::size_t statements = stmt_base_.back();
   const auto at_round = rounds_.find(round);
   RoundStore* store = at_round == rounds_.end() ? nullptr : &at_round->second;
+  auto tv_view = [this](Variant& v) {
+    if (config_.policy != TvPolicy::kFlow && v.sorted.size() != v.content.size()) {
+      v.sorted = v.content;
+      validation::sort_fingerprints(v.sorted, tv_scratch_.tmp);
+    }
+    return TvView{v.content, v.sorted, v.counters.packets};
+  };
+  // TV reads nothing but the two summaries, so this round runs it once per
+  // distinct (upstream variant, downstream variant) pair of a statement and
+  // every router holding that pair reads the outcome. The key is the
+  // upstream statement and BOTH variant indices: routers holding different
+  // variants of one statement each get the outcome of their own.
+  util::FlatMap<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>, bool> tv_ok;
+  std::vector<std::uint32_t> held;  // per segment member: the variant r holds
   // Every correct router evaluates every monitored segment: the summary
   // flood already delivered all signed summaries everywhere, which is the
   // reliable broadcast of evidence in Fig. 5.1 and yields strong
@@ -268,8 +285,7 @@ void Pi2Engine::evaluate(std::int64_t round) {
     if (!net_.is_router(r)) continue;
     for (std::size_t sid = 0; sid < segments_.size(); ++sid) {
       if (invalid[sid]) continue;
-      const auto& seg = segments_[sid];
-      const auto& nodes = seg.nodes();
+      const auto& nodes = segments_[sid].nodes();
       // Graceful degradation: the round completes on whatever summaries
       // made it. A reporter whose summary never arrived (after the
       // transport exhausted its retries) is itself suspected — withholding
@@ -277,17 +293,7 @@ void Pi2Engine::evaluate(std::int64_t round) {
       // precision 1, strictly tighter than the pair bound. Equivocation
       // (two conflicting signed summaries for one key) likewise convicts
       // the signer alone.
-      // Resolve each reporter's slot to its shared variant; the TV sweep
-      // then reads spans out of the variant store, sorting each distinct
-      // summary at most once for ALL routers and pairs.
-      auto tv_view = [this](Variant& v) {
-        if (config_.policy != TvPolicy::kFlow && v.sorted.size() != v.content.size()) {
-          v.sorted = v.content;
-          validation::sort_fingerprints(v.sorted, tv_scratch_.tmp);
-        }
-        return TvView{v.content, v.sorted, v.counters.packets};
-      };
-      std::vector<Variant*> vars(nodes.size(), nullptr);
+      held.assign(nodes.size(), kNoVariant);
       for (std::size_t i = 0; i < nodes.size(); ++i) {
         const std::size_t stmt = stmt_base_[sid] + i;
         const Slot* slot = store == nullptr ? nullptr : &store->slots[r * statements + stmt];
@@ -296,17 +302,22 @@ void Pi2Engine::evaluate(std::int64_t round) {
         } else if (slot->poisoned) {
           suspect(r, routing::PathSegment{nodes[i]}, round, "equivocation");
         } else {
-          vars[i] = &store->variants[stmt][slot->variant];
+          held[i] = slot->variant;
         }
       }
       for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-        Variant* up = vars[i];
-        Variant* down = vars[i + 1];
-        if (up == nullptr || down == nullptr) continue;  // per-reporter verdict covered it
-        const auto outcome =
-            evaluate_tv(config_.policy, config_.thresholds, tv_view(*up), tv_view(*down),
-                        tv_scratch_);
-        if (!outcome.ok) {
+        const std::uint32_t up = held[i];
+        const std::uint32_t down = held[i + 1];
+        if (up == kNoVariant || down == kNoVariant) continue;  // per-reporter verdict covered it
+        const std::uint32_t stmt = stmt_base_[sid] + static_cast<std::uint32_t>(i);
+        const auto [outcome, fresh] = tv_ok.emplace(std::tuple{stmt, up, down}, false);
+        if (fresh) {
+          outcome->second = evaluate_tv(config_.policy, config_.thresholds,
+                                        tv_view(store->variants[stmt][up]),
+                                        tv_view(store->variants[stmt + 1][down]), tv_scratch_)
+                                .ok;
+        }
+        if (!outcome->second) {
           suspect(r, routing::PathSegment{nodes[i], nodes[i + 1]}, round, "tv-failed");
         }
       }

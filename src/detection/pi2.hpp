@@ -53,7 +53,9 @@ struct Pi2Config {
 /// The Pi2 flood's dedup key, which is also the reliable channel's ack
 /// `msg_key`: copies with equal keys are flooded once per router. It
 /// hashes the summary's scalar fields, its segment, its three list
-/// lengths and the envelope tag, not the list contents.
+/// lengths and the envelope tag, not the list contents. The first call on
+/// a payload object computes it and keeps it on the object (PayloadCache),
+/// so every hop copy of a flood reads it.
 [[nodiscard]] std::uint64_t summary_flood_key(const SegmentSummaryPayload& payload);
 
 /// The distributed Pi2 engine: one summary generator + evaluator per
@@ -112,8 +114,7 @@ class Pi2Engine : public RoundDriver {
   /// One distinct signed summary: the canonical payload bytes (the
   /// equivocation compare), the counters, the content fingerprints in
   /// forwarding order, and a sorted copy built on first TV use and then
-  /// shared by every evaluating router (previously each router re-sorted
-  /// the same content for every adjacent pair).
+  /// shared by every evaluating router.
   struct Variant {
     validation::CounterSummary counters;
     std::vector<validation::Fingerprint> content;

@@ -49,7 +49,8 @@ class StatementLedger {
       first_.emplace(key, env);
       return Statement::kFirst;
     }
-    return it->second.payload == env.payload ? Statement::kCopy : Statement::kConflict;
+    return crypto::equal_bytes(it->second.payload, env.payload) ? Statement::kCopy
+                                                                : Statement::kConflict;
   }
   [[nodiscard]] const crypto::SignedEnvelope& kept(const Key& key) const { return first_.at(key); }
   /// True the first time only: each proof is filed once.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "crypto/mac.hpp"
 #include "detection/tv.hpp"
 #include "util/log.hpp"
 
@@ -40,7 +41,7 @@ SecTraceDetector::SecTraceDetector(sim::Network& net, const crypto::KeyRegistry&
     const auto& payload = static_cast<const SegmentSummaryPayload&>(*p.control);
     if (!crypto::verify(keys_, payload.envelope)) return;
     if (payload.envelope.signer != payload.summary.reporter) return;
-    if (payload.envelope.payload != payload.summary.to_bytes()) return;
+    if (!crypto::equal_bytes(payload.envelope.payload, payload.summary.to_bytes())) return;
     replies_[payload.summary.round] = payload.summary;
   });
 }

@@ -2,7 +2,8 @@
 # ASan+UBSan build-and-ctest, the sanitized half of the tier-1 verify flow:
 #   tools/sanitize.sh [ctest-args...]
 # Builds into build-asan/ (separate from the normal build/) and runs the
-# full suite under both sanitizers, failing on any report.
+# full suite under both sanitizers and libstdc++'s assertions, failing on
+# any report.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
